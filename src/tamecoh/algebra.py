@@ -124,7 +124,7 @@ class Rule:
         self.source, self.target = lw.source, lw.target
         cleaned = []
         for coeff, arrows in rhs:
-            c = int(coeff) % field.p if field.m == 1 else int(coeff)
+            c = field.code(coeff)
             if c == 0:
                 continue
             w = quiver.word_from_indices(tuple(arrows), source=lw.source)
@@ -365,9 +365,7 @@ class Algebra:
         f = self.field
         out = self.zero()
         for coeff, w in terms:
-            c = int(coeff)
-            if f.m == 1:
-                c %= f.p
+            c = f.code(coeff)
             if c == 0:
                 continue
             nf = self.engine.normal_form_word(w.arrows)

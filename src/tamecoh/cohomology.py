@@ -15,13 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import Algebra, AlgebraError
-from .field import (
-    Section,
-    Subspace,
-    image_basis,
-    kernel_space,
-    matvec,
-)
+from .field import Section, Subspace, image_basis, kernel_space, kron
 from .resolution import ResolutionSpec
 
 
@@ -106,14 +100,6 @@ def centre_cochain(resolution: ResolutionSpec, z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _fkron(f, a, b) -> np.ndarray:
-    """Kronecker product with entries multiplied in the field."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    out = f.mul(a[:, None, :, None], b[None, :, None, :])
-    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-
-
 def derivation_space(alg: Algebra) -> Subspace:
     """All K-linear derivations of the algebra, as flattened matrices.
 
@@ -139,9 +125,9 @@ def derivation_space(alg: Algebra) -> Subspace:
             b = alg.basis_vector(i)
             prod = alg.multiply(b, g)
             # D(b g) = D . prod, D(b) g = R_g D e_i, b D(g) = L_b D g
-            block = _fkron(f, eye, prod[None, :])
-            block = f.sub(block, _fkron(f, Rg, eye[i][None, :]))
-            block = f.sub(block, _fkron(f, alg.left_mult_matrix(b), g[None, :]))
+            block = kron(f, eye, prod[None, :])
+            block = f.sub(block, kron(f, Rg, eye[i][None, :]))
+            block = f.sub(block, kron(f, alg.left_mult_matrix(b), g[None, :]))
             rows.append(block)
     system = np.vstack(rows) if rows else np.zeros((0, n * n), dtype=np.int64)
     return kernel_space(f, system)
@@ -168,15 +154,39 @@ def hh1_oracle_dims(alg: Algebra) -> tuple[int, int, int]:
     return der.dim, inn.dim, der.dim - inn.dim
 
 
+def xi_extend(alg: Algebra, values, elem) -> np.ndarray:
+    """Apply the arrow-replacement extension of a cochain to an element.
+
+    ``values[j]`` is the image of arrow j.  A basis word maps to the sum
+    over its arrow positions of (prefix) value (suffix); idempotent words
+    map to zero.  The extension is a derivation of the algebra precisely
+    when the cochain is a cocycle.
+    """
+    f = alg.field
+    q = alg.quiver
+    elem = np.asarray(elem, dtype=np.int64)
+    acc = alg.zero()
+    for i in np.nonzero(elem)[0]:
+        w = alg.basis[i]
+        arrows = w.arrows
+        coeff = int(elem[i])
+        for pos, aj in enumerate(arrows):
+            pre = alg.element(
+                [(1, q.word_from_indices(arrows[:pos], source=w.source))])
+            post = alg.element(
+                [(1, q.word_from_indices(arrows[pos + 1:],
+                                         source=q.arrows[aj].target))])
+            term = alg.multiply(alg.multiply(pre, values[aj]), post)
+            acc = f.add(acc, f.mul(coeff, term))
+    return acc
+
+
 def derivation_from_arrow_values(alg: Algebra, values) -> np.ndarray:
     """Matrix of the derivation with the given values on arrow classes.
 
     ``values[j]`` is the image of arrow j, which must lie in the matching
-    vertex window.  Vertex idempotents map to zero; a basis word of length m
-    maps to the sum over positions of (prefix) value (suffix).
+    vertex window.  Column i is ``xi_extend`` applied to basis element i.
     """
-    f = alg.field
-    n = alg.dim
     q = alg.quiver
     vals = [np.asarray(v, dtype=np.int64) for v in values]
     if len(vals) != len(q.arrows):
@@ -188,17 +198,8 @@ def derivation_from_arrow_values(alg: Algebra, values) -> np.ndarray:
             alg.element([(1, q.word_from_indices((), source=a.target))]))
         if not np.array_equal(win, v):
             raise AlgebraError(f"value for arrow {a.name} leaves its vertex window")
-    D = np.zeros((n, n), dtype=np.int64)
-    for i, w in enumerate(alg.basis):
-        arrows = w.arrows
-        acc = alg.zero()
-        for pos, aj in enumerate(arrows):
-            pre = alg.element([(1, q.word_from_indices(arrows[:pos], source=w.source))])
-            post = alg.element(
-                [(1, q.word_from_indices(arrows[pos + 1:], source=q.arrows[aj].target))])
-            acc = f.add(acc, alg.multiply(alg.multiply(pre, vals[aj]), post))
-        D[:, i] = acc
-    return D
+    return np.array([xi_extend(alg, vals, alg.basis_vector(i))
+                     for i in range(alg.dim)], dtype=np.int64).T
 
 
 def cochain_derivation(resolution: ResolutionSpec, vec) -> np.ndarray:

@@ -12,9 +12,7 @@ Every constructor certifies its instance: the basis enumeration must hit
 the known dimension, each defining relation must rewrite to zero, the
 multiplication is validated, and the socle functional is checked to be
 symmetrizing.  Instances carry the start of the minimal bimodule
-resolution (the full 4-periodic complex in the local quaternion case);
-Q2B1 carries no resolution and is used for centre and power-map
-invariants only.
+resolution (the full 4-periodic complex in the local quaternion case).
 """
 
 from __future__ import annotations
@@ -72,7 +70,7 @@ class FamilyInstance:
     relations: list          # (label, combo) pairs, verbatim presentation
     socle_words: dict        # vertex -> arrow-index word spanning the socle
     lam: np.ndarray          # symmetrizing functional, dual to the socle
-    resolution: Optional[ResolutionSpec]
+    resolution: ResolutionSpec
     centre_dim: int          # expected dimension of the centre
     hh1_dim: Optional[int]   # expected dimension of degree-1 cohomology
     hh_dim_fn: Optional[Callable[[int], int]] = dc_field(default=None, repr=False)
@@ -570,10 +568,12 @@ def _build_q2b1(f: Field, k, s, a=1, c=0):
     ])
     alg = Algebra(f, q, rules, name=f"Q2B1(k={k}, s={s}, a={a}, c={c})",
                   expected_dim=9 * k + s)
+    # a^2 b and g a^2 follow from the first four relations, so the
+    # complex is built on those alone
     return dict(
         algebra=alg, relations=relations,
         socle_words={0: _w(q, abg), 1: _w(q, es)},
-        resolution=None, centre_dim=k + s + 2, hh1_dim=None,
+        resolution_z=relations[:4], centre_dim=k + s + 2, hh1_dim=None,
         params={"k": k, "s": s, "a": a, "c": c},
     )
 

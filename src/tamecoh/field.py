@@ -192,6 +192,19 @@ class Field:
         """Image of the integer n under Z -> GF(p^m)."""
         return n % self.p
 
+    def code(self, value) -> int:
+        """A coefficient given from outside, as a field code.
+
+        Over GF(p) every integer is reduced mod p.  Over GF(p^m) integers do
+        not map onto the codes, so the value must already lie in range(q).
+        """
+        c = int(value)
+        if self.m == 1:
+            return c % self.p
+        if not 0 <= c < self.q:
+            raise ValueError(f"{value} is not a field code in GF({self.q})")
+        return c
+
     def elements(self):
         return range(self.q)
 
@@ -298,6 +311,14 @@ def matmul(field: Field, a, b) -> np.ndarray:
             continue
         out = field.add(out, field.mul(col[:, None], b_m[k][None, :]))
     return out
+
+
+def kron(field: Field, a, b) -> np.ndarray:
+    """Kronecker product with entries multiplied in the field."""
+    a = as_matrix(a)
+    b = as_matrix(b)
+    out = field.mul(a[:, None, :, None], b[None, :, None, :])
+    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def matvec(field: Field, a, v) -> np.ndarray:

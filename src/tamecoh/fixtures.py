@@ -1,11 +1,12 @@
 """Named degree-one cocycles for the worked families.
 
 Every family except the dihedral one (separated by dimension counts alone)
-and Q2B1 (no bimodule resolution here) comes with a catalogue of named
-cochains, a case selection of names whose classes form a basis of the first
-cohomology group, and the expected bracket table among those names.  The
-tables list the potentially non-zero brackets; any basis pair absent from a
-table is expected to bracket to zero, and checkers treat it that way.
+and Q2B1 (no closed form for its first cohomology is recorded) comes with a
+catalogue of named cochains, a case selection of names whose classes form a
+basis of the first cohomology group, and the expected bracket table among
+those names.  The tables list the potentially non-zero brackets; any basis
+pair absent from a table is expected to bracket to zero, and checkers treat
+it that way.
 
 Cochains are recorded through their values on the arrows, in quiver arrow
 order, and packed into the coordinate vector used by the resolution's

@@ -22,14 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraError
-from .cohomology import CohomologySpace, _fkron, hh
+from .algebra import AlgebraError
+from .cohomology import CohomologySpace, hh, xi_extend
 from .field import (
     Field,
     Section,
     Subspace,
     inverse,
     kernel_space,
+    kron,
     matmul,
     matvec,
     rank,
@@ -48,33 +49,6 @@ def _sup(n: int) -> str:
 # ---------------------------------------------------------------------------
 # the bracket on degree-one cochains
 # ---------------------------------------------------------------------------
-
-
-def xi_extend(alg: Algebra, values, elem) -> np.ndarray:
-    """Apply the arrow-replacement extension of a cochain to an element.
-
-    ``values[j]`` is the image of arrow j.  A basis word maps to the sum
-    over its arrow positions of (prefix) value (suffix); idempotent words
-    map to zero.  The extension is a derivation of the algebra precisely
-    when the cochain is a cocycle.
-    """
-    f = alg.field
-    q = alg.quiver
-    elem = np.asarray(elem, dtype=np.int64)
-    acc = alg.zero()
-    for i in np.nonzero(elem)[0]:
-        w = alg.basis[i]
-        arrows = w.arrows
-        coeff = int(elem[i])
-        for pos, aj in enumerate(arrows):
-            pre = alg.element(
-                [(1, q.word_from_indices(arrows[:pos], source=w.source))])
-            post = alg.element(
-                [(1, q.word_from_indices(arrows[pos + 1:],
-                                         source=q.arrows[aj].target))])
-            term = alg.multiply(alg.multiply(pre, values[aj]), post)
-            acc = f.add(acc, f.mul(coeff, term))
-    return acc
 
 
 def bracket(resolution: ResolutionSpec, u, v, check: bool = True) -> np.ndarray:
@@ -361,11 +335,9 @@ class LieAlgebra:
         for i in range(n):
             for j in range(n):
                 w = self.structure[i, j]
-                block = f.mul(lam, _fkron(f, eye, w[None, :]))
-                block = f.add(block, f.mul(mu, _fkron(f, ads[j],
-                                                      eye[i][None, :])))
-                block = f.sub(block, f.mul(nu, _fkron(f, ads[i],
-                                                      eye[j][None, :])))
+                block = f.mul(lam, kron(f, eye, w[None, :]))
+                block = f.add(block, f.mul(mu, kron(f, ads[j], eye[i][None, :])))
+                block = f.sub(block, f.mul(nu, kron(f, ads[i], eye[j][None, :])))
                 blocks.append(block)
         system = np.vstack(blocks)
         return kernel_space(f, system)
@@ -497,8 +469,6 @@ def hh1_lie(inst, named: bool = True, check: bool = True) -> LieAlgebra:
     ``named`` asks for the catalogued basis when the family has one;
     families without a catalogue fall back to the canonical basis.
     """
-    if inst.resolution is None:
-        raise AlgebraError(f"{inst.algebra.name} carries no bimodule complex")
     space = hh(inst.resolution, 1)
     fix = None
     if named and inst.family in FIXTURE_FAMILIES:

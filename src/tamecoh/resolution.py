@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, AlgebraError
-from .field import Subspace, image_basis, kernel_space, matmul, rank
+from .field import Subspace, kernel_space, kron, matmul, rank
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,7 @@ class TensorExpr:
         self.terms = list(terms)
 
     def add_term(self, field, summand: int, left_vec, right_vec, coeff=1):
-        if field.m == 1:
-            coeff = int(coeff) % field.p
+        coeff = field.code(coeff)
         if coeff == 0:
             return
         if coeff != 1:
@@ -66,6 +65,17 @@ def _ends_at(alg: Algebra, vertex: int):
 
 def _starts_at(alg: Algebra, vertex: int):
     return [i for i, w in enumerate(alg.basis) if w.source == vertex]
+
+
+def _assemble(field, row_sizes, col_sizes, blocks) -> np.ndarray:
+    """Sum of (row block, column block, matrix) contributions in one matrix."""
+    roff = np.cumsum([0, *row_sizes])
+    coff = np.cumsum([0, *col_sizes])
+    mat = np.zeros((int(roff[-1]), int(coff[-1])), dtype=np.int64)
+    for r, c, block in blocks:
+        view = mat[roff[r]:roff[r + 1], coff[c]:coff[c + 1]]
+        view[...] = field.add(view, block)
+    return mat
 
 
 def arrow_summands(alg: Algebra):
@@ -213,25 +223,25 @@ class ResolutionSpec:
         return out
 
     def induced_matrix(self, degree: int) -> np.ndarray:
-        """Matrix of ?.d^degree from cochains of degree-1 to cochains of degree."""
+        """Matrix of ?.d^degree from cochains of degree-1 to cochains of degree.
+
+        A term l (x)_s r of generator t sends the value on summand s to
+        l * value * r, so it adds the window block of L_l R_r at (t, s).
+        """
         d = self._fold(degree)
-        if d in self._induced_cache:
-            return self._induced_cache[d]
-        alg = self.algebra
-        dom_blocks = self.cochain_coords(degree - 1 if d > 1 else 0)
-        n_dom = self.hom_dim(d - 1)
-        n_cod = self.hom_dim(d)
-        mat = np.zeros((n_cod, n_dom), dtype=np.int64)
-        col = 0
-        for s, block in enumerate(dom_blocks):
-            for idx in block:
-                values = [alg.zero() for _ in dom_blocks]
-                values[s] = alg.basis_vector(idx)
-                image = self.apply_diff(d, values)
-                mat[:, col] = self.pack_cochain(d, image)
-                col += 1
-        self._induced_cache[d] = mat
-        return mat
+        if d not in self._induced_cache:
+            alg = self.algebra
+            dom = self.cochain_coords(d - 1)
+            cod = self.cochain_coords(d)
+            blocks = (
+                (t, s, matmul(alg.field, alg.left_mult_matrix(l)[cod[t]],
+                              alg.right_mult_matrix(r)[:, dom[s]]))
+                for t, expr in enumerate(self.diff_at(d))
+                for s, l, r in expr.terms
+            )
+            self._induced_cache[d] = _assemble(
+                alg.field, map(len, cod), map(len, dom), blocks)
+        return self._induced_cache[d]
 
     # -- verification ------------------------------------------------------
 
@@ -347,28 +357,17 @@ class ResolutionSpec:
     def full_matrix(self, degree: int) -> np.ndarray:
         """The differential as a matrix on the underlying vector spaces."""
         alg = self.algebra
-        f = alg.field
         dom = self._bimodule_pairs(degree)
         cod = self._bimodule_pairs(degree - 1)
-        cod_offsets = np.cumsum([0] + [len(a) * len(b) for a, b in cod])
-        dom_offsets = np.cumsum([0] + [len(a) * len(b) for a, b in dom])
-        mat = np.zeros((int(cod_offsets[-1]), int(dom_offsets[-1])), dtype=np.int64)
-        for s_prime, expr in enumerate(self.diff_at(degree)):
-            di, dj = dom[s_prime]
-            for s_idx, l, r in expr.terms:
-                ci, cj = cod[s_idx]
-                A = alg.right_mult_matrix(l)[np.ix_(ci, di)]
-                B = alg.left_mult_matrix(r)[np.ix_(cj, dj)]
-                if f.m == 1:
-                    block = np.kron(A, B) % f.p
-                else:
-                    block = f.mul(A[:, None, :, None], B[None, :, None, :]).reshape(
-                        len(ci) * len(cj), len(di) * len(dj)
-                    )
-                r0, c0 = cod_offsets[s_idx], dom_offsets[s_prime]
-                sub = mat[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]]
-                mat[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = f.add(sub, block)
-        return mat
+        blocks = (
+            (s, t, kron(alg.field,
+                        alg.right_mult_matrix(l)[np.ix_(cod[s][0], dom[t][0])],
+                        alg.left_mult_matrix(r)[np.ix_(cod[s][1], dom[t][1])]))
+            for t, expr in enumerate(self.diff_at(degree))
+            for s, l, r in expr.terms
+        )
+        return _assemble(alg.field, (len(a) * len(b) for a, b in cod),
+                         (len(a) * len(b) for a, b in dom), blocks)
 
     def full_matrix_aug(self) -> np.ndarray:
         """Degree-0 augmentation u (x) v -> u*v as a matrix into A."""
@@ -381,46 +380,29 @@ class ResolutionSpec:
                     cols.append(alg.multiply(alg.basis_vector(i), alg.basis_vector(j)))
         return np.array(cols, dtype=np.int64).T
 
-    def _one_sided_blocks(self, vertex: int, degree: int):
-        """Left-multiplication elements of the complex S_vertex (x) Q."""
+    def one_sided_matrix(self, vertex: int, degree: int) -> np.ndarray:
+        """Matrix of the induced right-module complex S_vertex (x) Q.
+
+        Only summands starting at the vertex survive, and a term l (x) r
+        acts as left multiplication by r scaled by the idempotent
+        coefficient of l.
+        """
         alg = self.algebra
         f = alg.field
-        cod = [s for s in self.summands_at(degree - 1)]
-        dom = [s for s in self.summands_at(degree)]
-        keep_c = [i for i, s in enumerate(cod) if s.left == vertex]
-        keep_d = [i for i, s in enumerate(dom) if s.left == vertex]
-        blocks = {}
-        for d_pos, s_prime in enumerate(keep_d):
-            expr = self.diff_at(degree)[s_prime]
-            for s_idx, l, r in expr.terms:
-                if s_idx not in keep_c:
-                    continue
-                li = alg.index[alg.quiver.idempotent_word(vertex)]
-                eps = int(l[li])
-                if eps == 0:
-                    continue
-                c_pos = keep_c.index(s_idx)
-                cur = blocks.get((c_pos, d_pos))
-                add = f.mul(r, eps)
-                blocks[(c_pos, d_pos)] = add if cur is None else f.add(cur, add)
-        return keep_c, keep_d, blocks
-
-    def one_sided_matrix(self, vertex: int, degree: int) -> np.ndarray:
-        """Matrix of the induced right-module complex at one simple module."""
-        alg = self.algebra
-        keep_c, keep_d, blocks = self._one_sided_blocks(vertex, degree)
-        cod_sum = self.summands_at(degree - 1)
-        dom_sum = self.summands_at(degree)
-        rows = [_starts_at(alg, cod_sum[s].right) for s in keep_c]
-        cols = [_starts_at(alg, dom_sum[s].right) for s in keep_d]
-        roff = np.cumsum([0] + [len(x) for x in rows])
-        coff = np.cumsum([0] + [len(x) for x in cols])
-        mat = np.zeros((int(roff[-1]), int(coff[-1])), dtype=np.int64)
-        for (cp, dp), m in blocks.items():
-            L = alg.left_mult_matrix(m)[np.ix_(rows[cp], cols[dp])]
-            sub = mat[roff[cp] : roff[cp + 1], coff[dp] : coff[dp + 1]]
-            mat[roff[cp] : roff[cp + 1], coff[dp] : coff[dp + 1]] = alg.field.add(sub, L)
-        return mat
+        e_v = alg.index[alg.quiver.idempotent_word(vertex)]
+        cod = {i: _starts_at(alg, s.right)
+               for i, s in enumerate(self.summands_at(degree - 1)) if s.left == vertex}
+        dom = {i: _starts_at(alg, s.right)
+               for i, s in enumerate(self.summands_at(degree)) if s.left == vertex}
+        row_pos = {s: pos for pos, s in enumerate(cod)}
+        blocks = (
+            (row_pos[s], col,
+             f.mul(alg.left_mult_matrix(r)[np.ix_(cod[s], dom[t])], int(l[e_v])))
+            for col, t in enumerate(dom)
+            for s, l, r in self.diff_at(degree)[t].terms
+            if s in cod and l[e_v]
+        )
+        return _assemble(f, map(len, cod.values()), map(len, dom.values()), blocks)
 
     def check_exactness(self, rng=None, full_limit: int = 30,
                         probes: int = 1500) -> dict:

@@ -97,6 +97,22 @@ def test_element_reduces_arbitrary_words():
     assert np.array_equal(v, expect)
 
 
+def test_coefficients_must_be_field_codes():
+    # over GF(4) integers do not map onto the codes: -1 must not wrap to
+    # code 3 (w+1), and 7 must not reach the log table as an index
+    gf4 = trunc_poly(Field(2, 2), 3)
+    q = gf4.quiver
+    t = q.word_from_indices((0,))
+    for bad in (-1, 4, 7):
+        with pytest.raises(ValueError, match="not a field code"):
+            gf4.element([(bad, t)])
+        with pytest.raises(ValueError, match="not a field code"):
+            Rule(q, gf4.field, (0, 0), [(bad, (0,))])
+    gf3 = trunc_poly(Field(3), 3)
+    assert gf3.element([(-1, t)]).tolist() == [0, 2, 0]
+    assert Rule(q, gf3.field, (0, 0), [(-1, (0,))]).rhs == ((2, (0,)),)
+
+
 def test_commutative_toy_structure():
     for f in (Field(2), Field(2, 2), Field(3)):
         a = commutative_toy(f)

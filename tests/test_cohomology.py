@@ -183,6 +183,17 @@ def test_non_cocycle_rejected():
 # ---------------------------------------------------------------------------
 
 
+# Q2B1 has no closed form here; its dims come from the Leibniz oracle alone
+Q2B1_HH1 = [
+    (GF2, dict(k=1, s=4, a=1, c=0), 4),
+    (GF2, dict(k=2, s=3, a=1, c=1), 6),
+    (GF3, dict(k=2, s=4, a=1, c=0), 5),
+    (GF3, dict(k=1, s=4, a=2, c=1), 4),
+    (GF4, dict(k=1, s=3, a=2, c=1), 4),
+    (GF5, dict(k=2, s=3, a=3, c=0), 4),
+]
+
+
 @pytest.mark.parametrize("family,field,params", [
     ("D1A2", GF2, dict(k=2, d=0)),
     ("SD1A2", GF2, dict(k=2, c=1, d=1)),
@@ -190,11 +201,17 @@ def test_non_cocycle_rejected():
     ("SD2B1", GF3, dict(k=2, s=2, c=0)),
     ("SD2B2", GF2, dict(k=2, s=2, c=1)),
     ("SD1A2", GF4, dict(k=2, c=2, d=3)),
+    *[("Q2B1", field, params) for field, params, _ in Q2B1_HH1],
 ])
 def test_hh1_agrees_with_leibniz_oracle(family, field, params):
     inst = make(family, field, **params)
     report = check_hh1_against_derivations(inst.resolution)
     assert report["passed"], report["entries"]
+
+
+@pytest.mark.parametrize("field,params,dim", Q2B1_HH1)
+def test_hh1_q2b1(field, params, dim):
+    assert hh(make("Q2B1", field, **params).resolution, 1).dim == dim
 
 
 def test_arrow_value_window_enforced():

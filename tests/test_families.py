@@ -93,11 +93,12 @@ def test_sd2b2_short_quiver_has_three_arrows():
     assert len(inst_long.algebra.quiver.arrows) == 4
 
 
-def test_q2b1_dim_centre_and_no_resolution():
+def test_q2b1_dim_centre_and_resolution():
     inst = make("Q2B1", GF4, k=1, s=3, a=2, c=1)
     assert inst.algebra.dim == 12
     assert inst.algebra.center().dim == 6
-    assert inst.resolution is None
+    # a^2 b and g a^2 follow from the other relations and get no summand
+    assert inst.resolution.relations == inst.relations[:4]
     with pytest.raises(FamilyError, match="no closed-form"):
         inst.hh_dim(1)
 

@@ -138,16 +138,23 @@ def test_hom_dims_for_local_family():
 
 
 def test_induced_matrix_agrees_with_apply_diff():
-    inst = make("SD1A2", GF2, k=2, c=1, d=1)
-    res = inst.resolution
+    # degrees 5-8 of the quaternion complex wrap around the period
+    cases = [
+        (make("SD1A2", GF2, k=2, c=1, d=1), range(1, 3)),
+        (make("SD2B1", GF3, k=2, s=2, c=0), range(1, 3)),
+        (make("Q1A2", GF4, k=3, c=0, d=2), range(1, 9)),
+    ]
     rng = random.Random(3)
-    for degree in (1, 2):
-        mat = res.induced_matrix(degree)
-        for _ in range(20):
-            vec = GF2.rand(rng, res.hom_dim(degree - 1))
-            values = res.unpack_cochain(degree - 1, vec)
-            image = res.pack_cochain(degree, res.apply_diff(degree, values))
-            assert np.array_equal(image, matvec(GF2, mat, vec))
+    for inst, degrees in cases:
+        res = inst.resolution
+        f = inst.field
+        for degree in degrees:
+            mat = res.induced_matrix(degree)
+            for _ in range(20):
+                vec = f.rand(rng, res.hom_dim(degree - 1))
+                values = res.unpack_cochain(degree - 1, vec)
+                image = res.pack_cochain(degree, res.apply_diff(degree, values))
+                assert np.array_equal(image, matvec(f, mat, vec))
 
 
 def test_induced_matrix_periodic_cache():
@@ -172,6 +179,7 @@ FAMILY_CASES = [
     ("Q1A2", GF2, dict(k=2, c=1, d=0)),
     ("Q1A2", GF2, dict(k=2, c=1, d=1)),
     ("Q1A1", GF2, dict(k=3)),
+    ("Q2B1", GF2, dict(k=1, s=4, a=1, c=0)),
 ]
 
 
@@ -266,3 +274,5 @@ def test_tensor_expr_drops_zero_terms():
     assert len(e) == 0
     e.add_term(GF2, 0, alg.one(), alg.basis_vector(1), coeff=1)
     assert len(e) == 1
+    with pytest.raises(ValueError, match="not a field code"):
+        e.add_term(GF4, 0, alg.one(), alg.one(), coeff=-1)
