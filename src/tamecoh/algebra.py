@@ -14,7 +14,6 @@ their orthogonal spaces, all as exact ``Subspace`` values.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -407,20 +406,13 @@ class Algebra:
         return self._table
 
     def multiply(self, u, v) -> np.ndarray:
-        t = self.table
+        """The product uv, contracted over the supports of u and v only."""
         f = self.field
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
-        if f.m == 1:
-            return np.einsum("i,j,ijk->k", u, v, t) % f.p
-        out = self.zero()
-        for i in np.nonzero(u)[0]:
-            ci = int(u[i])
-            row = t[i]
-            for j in np.nonzero(v)[0]:
-                if row[j].any():
-                    out = f.add(out, f.mul(f.mul(ci, int(v[j])), row[j]))
-        return out
+        su, sv = np.flatnonzero(u), np.flatnonzero(v)
+        coeffs = f.mul(u[su][:, None], v[sv]).reshape(-1)
+        return matmul(f, coeffs, self.table[su[:, None], sv].reshape(-1, self.dim))[0]
 
     def power(self, u, e: int) -> np.ndarray:
         if e < 0:
@@ -438,26 +430,18 @@ class Algebra:
         return self.field.sub(self.multiply(u, v), self.multiply(v, u))
 
     def left_mult_matrix(self, u) -> np.ndarray:
-        t = self.table
-        f = self.field
+        """Matrix of x -> ux."""
         u = np.asarray(u, dtype=np.int64)
-        if f.m == 1:
-            return np.einsum("i,ijk->kj", u, t) % f.p
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for i in np.nonzero(u)[0]:
-            out = f.add(out, f.mul(int(u[i]), t[i].T))
-        return out
+        s = np.flatnonzero(u)
+        prod = matmul(self.field, u[s], self.table[s].reshape(len(s), self.dim**2))
+        return prod.reshape(self.dim, self.dim).T
 
     def right_mult_matrix(self, u) -> np.ndarray:
-        t = self.table
-        f = self.field
+        """Matrix of x -> xu."""
         u = np.asarray(u, dtype=np.int64)
-        if f.m == 1:
-            return np.einsum("j,ijk->ki", u, t) % f.p
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for j in np.nonzero(u)[0]:
-            out = f.add(out, f.mul(int(u[j]), t[:, j, :].T))
-        return out
+        s = np.flatnonzero(u)
+        prod = matmul(self.field, u[s], self.table[:, s])  # one row per left factor
+        return prod.reshape(self.dim, self.dim).T
 
     # ---- derived structures ----
 
@@ -488,15 +472,10 @@ class Algebra:
 
     def gram_matrix(self, lam) -> np.ndarray:
         """Gram matrix of the bilinear form (u, v) -> lam(u v)."""
-        t = self.table
-        f = self.field
         lam = np.asarray(lam, dtype=np.int64)
-        if f.m == 1:
-            return np.einsum("ijk,k->ij", t, lam) % f.p
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for k in np.nonzero(lam)[0]:
-            out = f.add(out, f.mul(int(lam[k]), t[:, :, k]))
-        return out
+        s = np.flatnonzero(lam)
+        prod = matmul(self.field, lam[s], self.table[:, :, s].reshape(self.dim**2, len(s)).T)
+        return prod.reshape(self.dim, self.dim)
 
     def check_symmetrizing(self, lam) -> None:
         g = self.gram_matrix(lam)
@@ -524,7 +503,7 @@ class Algebra:
         if mat.shape[0] == 0:
             # everything is a commutator; T_n is the whole algebra
             return Subspace(f, self.dim, np.eye(self.dim, dtype=np.int64))
-        ker_p = semilinear_kernel(f, mat, n % f.m if f.m > 1 else 0)
+        ker_p = semilinear_kernel(f, mat, n % f.m)
         packed = [pack_vector(f, r) for r in ker_p.rows]
         space = Subspace(f, self.dim, packed)
         if f.m * space.dim != ker_p.dim:
@@ -572,53 +551,36 @@ class Algebra:
     def _assoc_exhaustive(self) -> None:
         t = self.table
         f = self.field
-        if f.m == 1:
-            left = np.einsum("ijl,lkm->ijkm", t, t) % f.p
-            right = np.einsum("jkl,ilm->ijkm", t, t) % f.p
-            if not np.array_equal(left, right):
-                bad = np.argwhere(np.any(left != right, axis=-1))[0]
-                raise AlgebraError(f"associativity fails at basis triple {tuple(bad)}")
-            return
-        lmats = [self.left_mult_matrix(self.basis_vector(i)) for i in range(self.dim)]
-        rmats = [self.right_mult_matrix(self.basis_vector(k)) for k in range(self.dim)]
-        for i, k in itertools.product(range(self.dim), repeat=2):
-            a = matmul(f, rmats[k], lmats[i])
-            b = matmul(f, lmats[i], rmats[k])
-            if not np.array_equal(a, b):
-                raise AlgebraError(f"associativity fails for (b_{i}, -, b_{k})")
+        n = self.dim
+        by_left, by_right = t.reshape(n, n * n), t.reshape(n * n, n)
+        for i in range(n):
+            # [j, k] holds (b_i b_j) b_k and b_i (b_j b_k); one i at a time
+            # keeps the memory at n^3
+            left = matmul(f, t[i], by_left).reshape(n, n, n)
+            right = matmul(f, by_right, t[i]).reshape(n, n, n)
+            bad = np.argwhere(np.any(left != right, axis=-1))
+            if len(bad):
+                j, k = (int(x) for x in bad[0])
+                raise AlgebraError(f"associativity fails at basis triple ({i}, {j}, {k})")
 
     def _assoc_sampled(self, rng, samples: int) -> None:
         t = self.table
         f = self.field
         n = self.dim
         rng = rng or random.Random(0)
-        if f.m == 1:
-            chunk = max(1, 1_000_000 // (n * n))
-            done = 0
-            while done < samples:
-                b = min(chunk, samples - done)
-                i = np.array([rng.randrange(n) for _ in range(b)])
-                j = np.array([rng.randrange(n) for _ in range(b)])
-                k = np.array([rng.randrange(n) for _ in range(b)])
-                u = t[i, j]  # (b, n)
-                left = np.einsum("bl,lbm->bm", u, t[:, k, :]) % f.p
-                v = t[j, k]
-                right = np.einsum("bl,blm->bm", v, t[i]) % f.p
-                if not np.array_equal(left, right):
-                    bad = int(np.argwhere(np.any(left != right, axis=-1))[0][0])
-                    raise AlgebraError(
-                        f"associativity fails at sampled triple "
-                        f"({int(i[bad])},{int(j[bad])},{int(k[bad])})"
-                    )
-                done += b
-        else:
-            for _ in range(min(samples, 2000)):
-                i, j, k = (rng.randrange(n) for _ in range(3))
-                u, v, w = (self.basis_vector(x) for x in (i, j, k))
-                a = self.multiply(self.multiply(u, v), w)
-                b = self.multiply(u, self.multiply(v, w))
-                if not np.array_equal(a, b):
-                    raise AlgebraError(f"associativity fails at ({i},{j},{k})")
+        draws = np.random.default_rng(rng.getrandbits(64))
+        # a chunk's GF(p)-expansion holds about a million entries
+        chunk = max(1, 1_000_000 // (n * n * f.m))
+        for done in range(0, samples, chunk):
+            i, j, k = draws.integers(n, size=(3, min(chunk, samples - done)))
+            left = matmul(f, t[i, j][:, None, :], t[:, k, :].swapaxes(0, 1))
+            right = matmul(f, t[j, k][:, None, :], t[i])
+            if not np.array_equal(left, right):
+                bad = int(np.argwhere(np.any(left != right, axis=(1, 2)))[0][0])
+                raise AlgebraError(
+                    f"associativity fails at sampled triple "
+                    f"({int(i[bad])},{int(j[bad])},{int(k[bad])})"
+                )
 
     def format_element(self, vec) -> str:
         f = self.field

@@ -5,14 +5,34 @@ Elements are integer codes in ``range(q)``: the element ``sum d_i w^i`` (with
 ``sum d_i p^i``.  The modulus for each ``(p, m)`` is pinned in ``MODULI``
 (Conway polynomials), so codes are stable across runs and serialized data is
 portable.  For every supported field the class of ``x`` (code ``p``) is a
-primitive element; this is asserted at construction time.
+primitive element; this is asserted when the tables are built.
 
-Matrices are plain ``numpy`` integer arrays of codes.  All row reduction is
+Every operation is a lookup in read-only int64 tables, built once per
+``(p, m)`` in a process and shared by all ``Field`` objects of that order:
+
+* ``add[a, b]`` (q x q) and ``neg[a]`` (length q); ``sub`` is
+  ``add[a, neg[b]]``.
+* ``log`` and ``exp`` of the primitive element, with ``mul(a, b) =
+  exp[log[a] + log[b]]``.  ``log[0]`` is the sentinel 2(q - 1) and ``exp``
+  is zero from that index on, so products with 0 need no mask.
+* ``digits[a]`` (q x m), the GF(p) coordinates of ``a``, and ``mats[a]``
+  (q x m x m), the GF(p) matrix of ``v -> a v`` in those coordinates.
+
+The last two give the GF(p)-expansion used by ``matmul``: a q-ary matrix
+product ``A @ B`` is the p-ary product of ``A`` with every entry replaced by
+its m x m block ``mats[a]`` and ``B`` with every entry replaced by its digit
+column, reduced mod p and packed back into codes.  Over GF(p) the expansion
+is the identity and the product is ``(A @ B) % p``.  The same expansion gives
+the GF(p)-linear matrices of semilinear maps (``semilinear_kernel``).
+
+Matrices are plain ``numpy`` int64 arrays of codes.  All row reduction is
 done in exact field arithmetic; ``Subspace`` keeps a reduced row echelon
 basis, which makes equal subspaces bit-identical.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -40,6 +60,57 @@ MODULI = {
 }
 
 
+def _mul_slow(p: int, m: int, a: int, b: int) -> int:
+    """Schoolbook polynomial product mod the modulus, used to seed tables."""
+    modulus = MODULI[(p, m)]
+    da = [(a // p**i) % p for i in range(m)]
+    db = [(b // p**i) % p for i in range(m)]
+    prod = [0] * (2 * m - 1)
+    for i, ai in enumerate(da):
+        if ai:
+            for j, bj in enumerate(db):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+    for d in range(2 * m - 2, m - 1, -1):
+        c = prod[d]
+        if c:
+            prod[d] = 0
+            for i, mi in enumerate(modulus):
+                prod[d - m + i] = (prod[d - m + i] - c * mi) % p
+    return sum(prod[i] * p**i for i in range(m))
+
+
+@functools.cache
+def _tables(p: int, m: int) -> tuple:
+    """(add, neg, exp, log, digits, mats) of GF(p^m); see the module docstring."""
+    q = p**m
+    gen = (-MODULI[(p, m)][0]) % p if m == 1 else p  # the class of x
+    exp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
+    log = np.full(q, 2 * (q - 1), dtype=np.int64)
+    a = 1
+    for i in range(q - 1):
+        exp[i] = exp[i + q - 1] = a
+        log[a] = i
+        a = _mul_slow(p, m, a, gen)
+    if a != 1 or np.any(log[1:] >= q - 1):
+        raise AssertionError(f"modulus table for GF({p}^{m}) does not give a primitive generator")
+    # the code of a is p * (a // p) + (a % p), so each digit of p-adic
+    # addition extends the table of the higher digits by one GF(p) table
+    prime_add = np.add.outer(np.arange(p), np.arange(p)) % p
+    add = prime_add
+    for _ in range(m - 1):
+        n = add.shape[0] * p
+        add = (p * add[:, None, :, None] + prime_add[None, :, None, :]).reshape(n, n)
+    pow_p = p ** np.arange(m, dtype=np.int64)
+    digits = np.arange(q, dtype=np.int64)[:, None] // pow_p % p
+    neg = (-digits % p) @ pow_p
+    # column j of mats[a] holds the digits of a * p^j
+    mats = digits[exp[log[:, None] + log[pow_p][None, :]]].transpose(0, 2, 1).copy()
+    out = (add, neg, exp, log, digits, mats)
+    for t in out:
+        t.setflags(write=False)
+    return out
+
+
 class Field:
     """GF(p^m) with integer-coded elements and vectorized array operations."""
 
@@ -52,45 +123,12 @@ class Field:
         self.m = m
         self.q = p**m
         self.modulus = MODULI[(p, m)]
-        self._pow_p = tuple(p**i for i in range(m))
-        self._build_tables()
-
-    def _build_tables(self) -> None:
-        p, m, q = self.p, self.m, self.q
-        if m == 1:
-            gen = (-self.modulus[0]) % p
-        else:
-            gen = p  # the class of x
-        exp = np.zeros(2 * (q - 1), dtype=np.int64)
-        log = np.full(q, -1, dtype=np.int64)
-        a = 1
-        for i in range(q - 1):
-            exp[i] = a
-            exp[i + q - 1] = a
-            log[a] = i
-            a = self._mul_slow(a, gen)
-        if a != 1 or np.any(log[1:] < 0):
-            raise AssertionError(f"modulus table for GF({p}^{m}) does not give a primitive generator")
-        self.exp = exp
-        self.log = log
+        self._pow_p = p ** np.arange(m, dtype=np.int64)
+        self._add, self._neg, self.exp, self.log, self._digits, self._mats = _tables(p, m)
 
     def _mul_slow(self, a: int, b: int) -> int:
-        """Schoolbook polynomial product mod the modulus, used to seed tables."""
-        p, m = self.p, self.m
-        da = [(a // p**i) % p for i in range(m)]
-        db = [(b // p**i) % p for i in range(m)]
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        for d in range(2 * m - 2, m - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for i, mi in enumerate(self.modulus):
-                    prod[d - m + i] = (prod[d - m + i] - c * mi) % p
-        return sum(prod[i] * p**i for i in range(m))
+        """Schoolbook product, the reference the tables are checked against."""
+        return _mul_slow(self.p, self.m, a, b)
 
     @classmethod
     def parse(cls, text: str) -> "Field":
@@ -126,39 +164,16 @@ class Field:
     # ---- element operations (work on ints and numpy arrays alike) ----
 
     def add(self, a, b):
-        if self.m == 1:
-            return (a + b) % self.p
-        out = 0
-        for pi in self._pow_p:
-            out = out + (((a // pi) + (b // pi)) % self.p) * pi
-        return out
+        return self._add[a, b]
 
     def neg(self, a):
-        if self.m == 1:
-            return (-a) % self.p
-        out = 0
-        for pi in self._pow_p:
-            out = out + ((-(a // pi)) % self.p) * pi
-        return out
+        return self._neg[a]
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return self._add[a, self._neg[b]]
 
     def mul(self, a, b):
-        if self.m == 1:
-            return (a * b) % self.p
-        if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
-            if a == 0 or b == 0:
-                return 0
-            return int(self.exp[self.log[a] + self.log[b]])
-        a_arr = np.asarray(a)
-        b_arr = np.asarray(b)
-        a_b, b_b = np.broadcast_arrays(a_arr, b_arr)
-        out = np.zeros(a_b.shape, dtype=np.int64)
-        nz = (a_b != 0) & (b_b != 0)
-        if np.any(nz):
-            out[nz] = self.exp[self.log[a_b[nz]] + self.log[b_b[nz]]]
-        return out
+        return self.exp[self.log[a] + self.log[b]]
 
     def inv(self, a: int) -> int:
         a = int(a)
@@ -178,15 +193,8 @@ class Field:
 
     def frobenius(self, a, j: int = 1):
         """Apply x -> x^(p^j) elementwise."""
-        e = self.p**j
-        if isinstance(a, (int, np.integer)):
-            return self.pow(int(a), e)
-        a_arr = np.asarray(a)
-        out = np.zeros(a_arr.shape, dtype=np.int64)
-        nz = a_arr != 0
-        if np.any(nz):
-            out[nz] = self.exp[(self.log[a_arr[nz]] * e) % (self.q - 1)]
-        return out
+        # log[0] is a multiple of q - 1, so 0 lands on exp[0] = 1 and is masked
+        return self.exp[(self.log[a] * self.p**j) % (self.q - 1)] * (np.asarray(a) != 0)
 
     def embed(self, n: int) -> int:
         """Image of the integer n under Z -> GF(p^m)."""
@@ -209,10 +217,10 @@ class Field:
         return range(self.q)
 
     def digits(self, code: int):
-        return tuple((code // pi) % self.p for pi in self._pow_p)
+        return tuple(self._digits[code].tolist())
 
     def from_digits(self, digits) -> int:
-        return sum(int(d) % self.p * pi for d, pi in zip(digits, self._pow_p))
+        return int(np.asarray(digits, dtype=np.int64) % self.p @ self._pow_p)
 
     def element_str(self, code: int) -> str:
         if self.m == 1:
@@ -229,26 +237,20 @@ class Field:
         return "+".join(terms) if terms else "0"
 
     def rand(self, rng, shape=None):
+        """A random element, or an array of them drawn in one call seeded from rng."""
         if shape is None:
             return rng.randrange(self.q)
-        return np.array([rng.randrange(self.q) for _ in range(int(np.prod(shape)))],
-                        dtype=np.int64).reshape(shape)
+        return np.random.default_rng(rng.getrandbits(64)).integers(self.q, size=shape)
 
     # ---- GF(p)-linear views, used by the semilinear kernel ----
 
     def mult_matrix(self, a: int) -> np.ndarray:
         """m x m matrix over GF(p) of v -> a*v in digit coordinates."""
-        cols = []
-        for i in range(self.m):
-            cols.append(self.digits(self.mul(int(a), self._pow_p[i])))
-        return np.array(cols, dtype=np.int64).T % self.p
+        return self._mats[a].copy()
 
     def frob_matrix(self, j: int = 1) -> np.ndarray:
         """m x m matrix over GF(p) of the j-fold Frobenius in digit coordinates."""
-        cols = []
-        for i in range(self.m):
-            cols.append(self.digits(self.frobenius(self._pow_p[i], j)))
-        return np.array(cols, dtype=np.int64).T % self.p
+        return self._digits[self.frobenius(self._pow_p, j)].T.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +281,16 @@ def rref(field: Field, mat) -> tuple[np.ndarray, list[int]]:
         pr = r + int(nz[0])
         if pr != r:
             r_mat[[r, pr]] = r_mat[[pr, r]]
+        # row r is zero left of column c, so only columns c.. change
         piv = int(r_mat[r, c])
         if piv != 1:
-            r_mat[r] = field.mul(r_mat[r], field.inv(piv))
+            r_mat[r, c:] = field.mul(r_mat[r, c:], field.inv(piv))
         col_vals = r_mat[:, c].copy()
         col_vals[r] = 0
         rows_nz = np.nonzero(col_vals)[0]
         if len(rows_nz):
-            update = field.mul(col_vals[rows_nz][:, None], r_mat[r][None, :])
-            r_mat[rows_nz] = field.sub(r_mat[rows_nz], update)
+            update = field.mul(col_vals[rows_nz][:, None], r_mat[r, c:][None, :])
+            r_mat[rows_nz, c:] = field.sub(r_mat[rows_nz, c:], update)
         pivots.append(c)
         r += 1
     return r_mat, pivots
@@ -298,19 +301,30 @@ def rank(field: Field, mat) -> int:
 
 
 def matmul(field: Field, a, b) -> np.ndarray:
+    """Matrix product over the field; stacks of matrices broadcast as in np.matmul.
+
+    Over GF(p^m) every entry x of ``a`` becomes the m x m block ``mats[x]``
+    and every entry y of ``b`` its digit column, so one integer product mod p
+    gives the digits of the result.
+    """
     a_m = as_matrix(a)
     b_m = as_matrix(b)
-    if a_m.shape[1] != b_m.shape[0]:
+    if a_m.shape[-1] != b_m.shape[-2]:
         raise ValueError(f"shape mismatch {a_m.shape} @ {b_m.shape}")
-    if field.m == 1:
-        return (a_m @ b_m) % field.p
-    out = np.zeros((a_m.shape[0], b_m.shape[1]), dtype=np.int64)
-    for k in range(a_m.shape[1]):
-        col = a_m[:, k]
-        if not np.any(col):
-            continue
-        out = field.add(out, field.mul(col[:, None], b_m[k][None, :]))
-    return out
+    p, m = field.p, field.m
+    if m == 1:
+        return _int_matmul(a_m, b_m) % p
+    r, k, c = a_m.shape[-2], a_m.shape[-1], b_m.shape[-1]
+    big_a = field._mats[a_m].swapaxes(-3, -2).reshape(*a_m.shape[:-2], r * m, k * m)
+    big_b = field._digits[b_m].swapaxes(-2, -1).reshape(*b_m.shape[:-2], k * m, c)
+    prod = _int_matmul(big_a, big_b) % p
+    return field._pow_p @ prod.reshape(*prod.shape[:-2], r, m, c)
+
+
+def _int_matmul(a, b) -> np.ndarray:
+    # numpy's integer matmul has no BLAS; on stacks of small matrices
+    # einsum's product loop is faster, and on large ones no slower
+    return np.einsum("...ij,...jk->...ik", a, b)
 
 
 def kron(field: Field, a, b) -> np.ndarray:
@@ -332,10 +346,8 @@ def kernel_basis(field: Field, mat) -> np.ndarray:
     r_mat, pivots = rref(field, m)
     free = [c for c in range(n_cols) if c not in pivots]
     basis = np.zeros((len(free), n_cols), dtype=np.int64)
-    for idx, f in enumerate(free):
-        basis[idx, f] = 1
-        for i, pc in enumerate(pivots):
-            basis[idx, pc] = field.neg(int(r_mat[i, f]))
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = field.neg(r_mat[: len(pivots)][:, free].T)
     return basis
 
 
@@ -500,22 +512,15 @@ def kernel_space(field: Field, mat) -> Subspace:
 
 def expand_vector(field: Field, v) -> np.ndarray:
     """GF(p) digit expansion of a GF(p^m) vector (length n -> n*m)."""
-    v_arr = np.asarray(v, dtype=np.int64).reshape(-1)
-    out = np.zeros(len(v_arr) * field.m, dtype=np.int64)
-    for i, code in enumerate(v_arr):
-        out[i * field.m : (i + 1) * field.m] = field.digits(int(code))
-    return out
+    return field._digits[np.asarray(v, dtype=np.int64).reshape(-1)].reshape(-1)
+
 
 def pack_vector(field: Field, v) -> np.ndarray:
     """Inverse of expand_vector."""
     v_arr = np.asarray(v, dtype=np.int64).reshape(-1)
     if len(v_arr) % field.m:
         raise ValueError("length not divisible by extension degree")
-    n = len(v_arr) // field.m
-    out = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        out[i] = field.from_digits(v_arr[i * field.m : (i + 1) * field.m])
-    return out
+    return v_arr.reshape(-1, field.m) % field.p @ field._pow_p
 
 
 def semilinear_kernel(field: Field, mat, frob_power: int) -> Subspace:
@@ -526,16 +531,7 @@ def semilinear_kernel(field: Field, mat, frob_power: int) -> Subspace:
     """
     m_mat = as_matrix(mat)
     n_rows, n_cols = m_mat.shape
-    deg = field.m
-    prime = field if deg == 1 else Field(field.p, 1)
-    frob = field.frob_matrix(frob_power % deg) if deg > 1 else np.array([[1]], dtype=np.int64)
-    big = np.zeros((n_rows * deg, n_cols * deg), dtype=np.int64)
-    for r in range(n_rows):
-        for c in range(n_cols):
-            a = int(m_mat[r, c])
-            if a == 0:
-                continue
-            block = matmul(prime, field.mult_matrix(a), frob) if deg > 1 else \
-                np.array([[a]], dtype=np.int64)
-            big[r * deg : (r + 1) * deg, c * deg : (c + 1) * deg] = block
-    return kernel_space(prime, big)
+    prime = Field(field.p)
+    # block (r, c) is the GF(p) matrix of v -> mat[r, c] * frobenius(v)
+    blocks = matmul(prime, field._mats[m_mat], field.frob_matrix(frob_power % field.m))
+    return kernel_space(prime, blocks.swapaxes(1, 2).reshape(n_rows * field.m, n_cols * field.m))

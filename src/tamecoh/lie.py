@@ -28,6 +28,7 @@ from .field import (
     Field,
     Section,
     Subspace,
+    as_matrix,
     inverse,
     kernel_space,
     kron,
@@ -145,26 +146,22 @@ class LieAlgebra:
 
     # ---- the bracket and adjoint maps ----
 
-    def bracket(self, u, v) -> np.ndarray:
+    def _brackets(self, xs, ys) -> np.ndarray:
+        """Rows [xs[r], ys[r]]: the outer product of each row pair against
+        the structure constants, all pairs in one field matmul."""
         f = self.field
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        out = np.zeros(self.dim, dtype=np.int64)
-        for i in np.nonzero(u)[0]:
-            row = self.structure[i]
-            for j in np.nonzero(v)[0]:
-                coeff = f.mul(int(u[i]), int(v[j]))
-                out = f.add(out, f.mul(coeff, row[j]))
-        return out
+        n = self.dim
+        xs, ys = as_matrix(xs), as_matrix(ys)
+        pairs = f.mul(xs[:, :, None], ys[:, None, :]).reshape(len(xs), n * n)
+        return matmul(f, pairs, self.structure.reshape(n * n, n))
+
+    def bracket(self, u, v) -> np.ndarray:
+        return self._brackets(u, v)[0]
 
     def ad(self, u) -> np.ndarray:
         """Matrix of x -> [u, x]."""
-        f = self.field
-        u = np.asarray(u, dtype=np.int64)
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for i in np.nonzero(u)[0]:
-            out = f.add(out, f.mul(int(u[i]), self.structure[i].T))
-        return out
+        n = self.dim
+        return self._brackets(np.broadcast_to(u, (n, n)), np.eye(n, dtype=np.int64)).T
 
     def basis_vector(self, i: int) -> np.ndarray:
         e = np.zeros(self.dim, dtype=np.int64)
@@ -181,26 +178,23 @@ class LieAlgebra:
         for i in range(n):
             if np.any(s[i, i]):
                 raise AlgebraError(f"[e_{i}, e_{i}] is not zero")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not np.array_equal(s[i, j], f.neg(s[j, i])):
-                    raise AlgebraError(f"bracket not antisymmetric at ({i},{j})")
-        for i in range(n):
-            for j in range(i + 1, n):
-                sij = s[i, j]
-                for k in range(j + 1, n):
-                    acc = self.bracket(sij, self.basis_vector(k))
-                    acc = f.add(acc, self.bracket(s[j, k], self.basis_vector(i)))
-                    acc = f.add(acc, self.bracket(s[k, i], self.basis_vector(j)))
-                    if np.any(acc):
-                        raise AlgebraError(
-                            f"Jacobi identity fails on ({i},{j},{k})")
+        for i, j in zip(*np.nonzero(np.any(s != f.neg(s.transpose(1, 0, 2)), axis=-1))):
+            if i < j:
+                raise AlgebraError(f"bracket not antisymmetric at ({i},{j})")
+        # [[e_i, e_j], e_k] for every triple, then the cyclic sum
+        nested = matmul(f, s.reshape(n * n, n), s.reshape(n, n * n)).reshape(n, n, n, n)
+        jacobi = f.add(f.add(nested, nested.transpose(1, 2, 0, 3)),
+                       nested.transpose(2, 0, 1, 3))
+        for i, j, k in zip(*np.nonzero(np.any(jacobi, axis=-1))):
+            if i < j < k:
+                raise AlgebraError(f"Jacobi identity fails on ({i},{j},{k})")
 
     # ---- subspace machinery ----
 
     def bracket_space(self, a: Subspace, b: Subspace) -> Subspace:
-        vecs = [self.bracket(x, y) for x in a.rows for y in b.rows]
-        return Subspace(self.field, self.dim, vecs)
+        xs = np.repeat(a.rows, b.dim, axis=0)
+        ys = np.tile(b.rows, (a.dim, 1))
+        return Subspace(self.field, self.dim, self._brackets(xs, ys))
 
     def ideal_closure(self, sub: Subspace) -> Subspace:
         full = self.full_space()
@@ -262,18 +256,11 @@ class LieAlgebra:
     # ---- invariants ----
 
     def killing_matrix(self) -> np.ndarray:
-        f = self.field
-        ads = [self.ad(self.basis_vector(i)) for i in range(self.dim)]
-        k_mat = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                prod = matmul(f, ads[i], ads[j])
-                tr = 0
-                for t in range(self.dim):
-                    tr = f.add(tr, int(prod[t, t]))
-                k_mat[i, j] = tr
-                k_mat[j, i] = tr
-        return k_mat
+        # tr(ad e_i ad e_j) = sum over (l, k) of s[i, l, k] s[j, k, l]
+        n = self.dim
+        s = self.structure
+        return matmul(self.field, s.reshape(n, n * n),
+                      s.transpose(0, 2, 1).reshape(n, n * n).T)
 
     def killing_rank(self) -> int:
         return rank(self.field, self.killing_matrix())
@@ -368,11 +355,9 @@ class LieAlgebra:
         mat = np.asarray(mat, dtype=np.int64)
         minv = inverse(f, mat)
         n = self.dim
-        s = np.zeros((n, n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                val = self.bracket(mat[:, i], mat[:, j])
-                s[i, j] = matvec(f, minv, val)
+        cols = mat.T
+        vals = self._brackets(np.repeat(cols, n, axis=0), np.tile(cols, (n, 1)))
+        s = matmul(f, vals, minv.T).reshape(n, n, n)
         return LieAlgebra(f, s, check=check)
 
     def __repr__(self) -> str:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -322,3 +323,92 @@ def test_left_right_mult_matrices():
 
         assert np.array_equal(matvec(a.field, lu, v), a.multiply(u, v))
         assert np.array_equal(matvec(a.field, rv, u), a.multiply(u, v))
+
+
+# ---------------------------------------------------------------------------
+# contractions against per-coordinate loops, and associativity certificates
+# ---------------------------------------------------------------------------
+
+
+def ref_product(alg, u, v):
+    f, t = alg.field, alg.table
+    out = [0] * alg.dim
+    for i in np.flatnonzero(u):
+        for j in np.flatnonzero(v):
+            c = f.mul(int(u[i]), int(v[j]))
+            for k in np.flatnonzero(t[i, j]):
+                out[k] = f.add(out[k], f.mul(c, int(t[i, j, k])))
+    return np.array(out, dtype=np.int64)
+
+
+CONTRACTION_CASES = [("SD1A2", Field(2, 2), dict(k=2, c=2, d=3)),
+                     ("Q1A2", Field(2, 3), dict(k=2, c=0, d=3)),
+                     ("SD2B1", Field(3), dict(k=2, s=2, c=0))]
+
+
+@pytest.mark.parametrize("family,field,params", CONTRACTION_CASES)
+def test_products_and_matrices_match_loops(family, field, params):
+    from tamecoh.families import make
+
+    alg = make(family, field, **params).algebra
+    rng = random.Random(8)
+    n = alg.dim
+    for _ in range(5):
+        u, v, lam = (field.rand(rng, n) for _ in range(3))
+        u[rng.randrange(n)] = 0
+        want = ref_product(alg, u, v)
+        assert np.array_equal(alg.multiply(u, v), want)
+        lu, rv = alg.left_mult_matrix(u), alg.right_mult_matrix(v)
+        eye = np.eye(n, dtype=np.int64)
+        assert all(np.array_equal(lu[:, j], ref_product(alg, u, eye[j])) for j in range(n))
+        assert all(np.array_equal(rv[:, i], ref_product(alg, eye[i], v)) for i in range(n))
+        gram = alg.gram_matrix(lam)
+        for i in range(n):
+            for j in range(n):
+                acc = 0
+                for k in range(n):
+                    acc = field.add(acc, field.mul(int(alg.table[i, j, k]), int(lam[k])))
+                assert gram[i, j] == acc
+
+
+def corrupted_copy(alg):
+    """A fresh copy of alg whose table loses one product b_i b_j of two
+    arrow paths, with b_i of length two or more."""
+    from tamecoh.algebra import Algebra
+
+    bad = Algebra(alg.field, alg.quiver, alg.rules)
+    t = bad.table.copy()
+    for i, wi in enumerate(bad.basis):
+        if len(wi) < 2:
+            continue
+        for j, wj in enumerate(bad.basis):
+            if len(wj) and np.any(t[i, j]):
+                t[i, j] = 0
+                bad._table = t
+                return bad
+    raise AssertionError("no product to corrupt")
+
+
+def triple_fails(alg, i, j, k):
+    eye = np.eye(alg.dim, dtype=np.int64)
+    left = ref_product(alg, ref_product(alg, eye[i], eye[j]), eye[k])
+    right = ref_product(alg, eye[i], ref_product(alg, eye[j], eye[k]))
+    return not np.array_equal(left, right)
+
+
+@pytest.mark.parametrize("family,field,params,path", [
+    ("SD1A2", Field(2), dict(k=3, c=1, d=1), "exhaustive"),
+    ("SD1A2", Field(2, 2), dict(k=2, c=2, d=3), "exhaustive"),
+    ("SD2B1", Field(3), dict(k=3, s=4, c=0), "sampled"),
+])
+def test_validate_names_a_failing_triple_of_a_corrupted_table(family, field, params, path):
+    from tamecoh.families import make
+
+    alg = make(family, field, **params).algebra
+    assert (alg.dim <= 30) == (path == "exhaustive")
+    assert alg.validate(random.Random(1))["associativity"].startswith(path)
+    bad = corrupted_copy(alg)
+    with pytest.raises(AlgebraError, match="associativity fails at") as err:
+        bad.validate(random.Random(1))
+    i, j, k = (int(x) for x in re.findall(r"\d+", str(err.value))[-3:])
+    assert triple_fails(bad, i, j, k)

@@ -5,9 +5,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from tamecoh.field import (
     Field,
+    _tables,
     Section,
     Subspace,
     expand_vector,
@@ -24,6 +28,43 @@ from tamecoh.field import (
 )
 
 ALL_PARAMS = [(p, m) for p in (2, 3, 5, 7) for m in (1, 2, 3, 4)]
+
+
+# ---------------------------------------------------------------------------
+# reference arithmetic: digit-wise addition mod p and the schoolbook product,
+# neither of which reads the lookup tables
+# ---------------------------------------------------------------------------
+
+
+def ref_digits(f, a):
+    return [(int(a) // f.p**i) % f.p for i in range(f.m)]
+
+
+def ref_code(f, digits):
+    return sum((d % f.p) * f.p**i for i, d in enumerate(digits))
+
+
+def ref_add(f, a, b):
+    return ref_code(f, [x + y for x, y in zip(ref_digits(f, a), ref_digits(f, b))])
+
+
+def ref_neg(f, a):
+    return ref_code(f, [-x for x in ref_digits(f, a)])
+
+
+def ref_mul(f, a, b):
+    return f._mul_slow(int(a), int(b))
+
+
+def ref_matmul(f, a, b):
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            acc = 0
+            for k in range(a.shape[1]):
+                acc = ref_add(f, acc, ref_mul(f, a[i, k], b[k, j]))
+            out[i, j] = acc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +134,75 @@ def test_frobenius_is_field_automorphism_fixing_prime_field(p, m):
     for _ in range(20):
         a = rng.randrange(f.q)
         assert f.frobenius(a, m) == a
+
+
+@pytest.mark.parametrize("p,m", ALL_PARAMS)
+def test_tables_match_digitwise_reference(p, m):
+    """Exhaustive up to q = 49, 3000 sampled pairs above."""
+    f = Field(p, m)
+    if f.q <= 49:
+        pairs = list(itertools.product(range(f.q), repeat=2))
+    else:
+        rng = random.Random(p * 10 + m)
+        pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(3000)]
+        pairs += [(0, b) for b in range(0, f.q, 97)] + [(a, 0) for a in range(0, f.q, 89)]
+    a = np.array([x for x, _ in pairs], dtype=np.int64)
+    b = np.array([y for _, y in pairs], dtype=np.int64)
+    for op, ref in ((f.add, ref_add), (f.sub, lambda f_, x, y: ref_add(f_, x, ref_neg(f_, y))),
+                    (f.mul, ref_mul)):
+        got = op(a, b)
+        assert got.dtype == np.int64
+        assert got.tolist() == [ref(f, x, y) for x, y in pairs]
+    assert f.neg(np.arange(f.q)).tolist() == [ref_neg(f, x) for x in range(f.q)]
+
+
+def test_tables_are_shared_small_and_int64():
+    f, g = Field(7, 4), Field(7, 4)
+    for name in ("_add", "_neg", "exp", "log", "_digits", "_mats"):
+        assert getattr(f, name) is getattr(g, name)
+    tables = _tables(7, 4)
+    assert sum(t.nbytes for t in tables) <= 48 * 10**6
+    for p, m in ALL_PARAMS:
+        assert all(t.dtype == np.int64 and not t.flags.writeable for t in _tables(p, m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ALL_PARAMS), st.data())
+def test_array_ops_match_reference_on_any_shape(pm, data):
+    f = Field(*pm)
+    shape = data.draw(array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4))
+    codes = st.integers(0, f.q - 1)
+    a = data.draw(arrays(np.int64, shape, elements=codes))
+    b = data.draw(arrays(np.int64, shape, elements=codes))
+    for op, ref in ((f.add, ref_add), (f.sub, lambda f_, x, y: ref_add(f_, x, ref_neg(f_, y))),
+                    (f.mul, ref_mul)):
+        got = op(a, b)
+        assert np.shape(got) == shape and np.asarray(got).dtype == np.int64
+        want = [ref(f, x, y) for x, y in zip(a.reshape(-1), b.reshape(-1))]
+        assert np.asarray(got).reshape(-1).tolist() == want
+        # scalars, and a scalar against an array
+        x, y = data.draw(codes), data.draw(codes)
+        assert op(x, y) == ref(f, x, y)
+        assert np.asarray(op(x, b)).reshape(-1).tolist() == [ref(f, x, v) for v in b.reshape(-1)]
+    got = f.neg(a)
+    assert np.shape(got) == shape and np.asarray(got).dtype == np.int64
+    assert np.asarray(got).reshape(-1).tolist() == [ref_neg(f, x) for x in a.reshape(-1)]
+    fr = f.frobenius(a)
+    assert np.shape(fr) == shape and np.asarray(fr).dtype == np.int64
+
+
+def test_rand_is_one_seeded_draw():
+    for p, m in [(2, 1), (2, 2), (7, 4)]:
+        f = Field(p, m)
+        a = f.rand(random.Random(3), (40, 7))
+        b = f.rand(random.Random(3), (40, 7))
+        assert a.dtype == np.int64 and a.shape == (40, 7)
+        assert np.array_equal(a, b)
+        assert a.min() >= 0 and a.max() < f.q
+        assert f.rand(random.Random(3), 5).shape == (5,)
+        assert f.rand(random.Random(4)) == random.Random(4).randrange(f.q)
+    rng = random.Random(5)
+    assert not np.array_equal(Field(7, 2).rand(rng, 50), Field(7, 2).rand(rng, 50))
 
 
 def test_array_ops_match_scalar_ops():
@@ -254,17 +364,25 @@ def test_image_basis_is_column_space():
 
 
 def test_matmul_matches_naive_extension_field():
-    f = Field(2, 2)
+    """Every field, shapes with r, k or c equal to 0, and stacks of matrices."""
     rng = random.Random(17)
-    a = f.rand(rng, (3, 4))
-    b = f.rand(rng, (4, 2))
-    c = matmul(f, a, b)
-    for i in range(3):
-        for j in range(2):
-            acc = 0
-            for k in range(4):
-                acc = f.add(acc, f.mul(int(a[i, k]), int(b[k, j])))
-            assert c[i, j] == acc
+    for p, m in ALL_PARAMS:
+        f = Field(p, m)
+        for r, k, c in itertools.product((0, 1, 3), (0, 1, 4), (0, 2)):
+            a = f.rand(rng, (r, k))
+            b = f.rand(rng, (k, c))
+            got = matmul(f, a, b)
+            assert got.dtype == np.int64 and got.shape == (r, c)
+            assert np.array_equal(got, ref_matmul(f, a, b))
+        a = f.rand(rng, (2, 3, 4))
+        b = f.rand(rng, (2, 4, 2))
+        got = matmul(f, a, b)
+        assert got.shape == (2, 3, 2)
+        for s in range(2):
+            assert np.array_equal(got[s], ref_matmul(f, a[s], b[s]))
+        # a vector is a one-row matrix, broadcast against the stack
+        assert np.array_equal(matmul(f, a[0, 0], b),
+                              [ref_matmul(f, a[0, :1], b[s]) for s in range(2)])
 
 
 def test_section_splits_ambient():
@@ -336,11 +454,15 @@ def test_semilinear_kernel_matches_exhaustive_search():
 
 
 def test_expand_pack_round_trip():
-    for p, m in [(2, 2), (3, 3), (5, 2)]:
+    for p, m in ALL_PARAMS:
         f = Field(p, m)
         rng = random.Random(37)
         v = f.rand(rng, (6,))
-        assert np.array_equal(pack_vector(f, expand_vector(f, v)), v)
+        digits = expand_vector(f, v)
+        assert digits.dtype == np.int64
+        assert digits.tolist() == [d for x in v for d in ref_digits(f, x)]
+        assert np.array_equal(pack_vector(f, digits), v)
+        assert pack_vector(f, expand_vector(f, v[:0])).shape == (0,)
 
 
 def test_mult_and_frob_matrices_realize_maps():

@@ -1,0 +1,172 @@
+"""The abstract Lie layer against per-coordinate loops written here.
+
+Every contraction of ``LieAlgebra`` (bracket, ad, bracket_space, Killing
+form, centre, change of basis) is recomputed entry by entry from the
+structure constants with scalar field operations, on diagonal models and on
+seeded random changes of basis of HH^1 Lie algebras over GF(2), GF(3), GF(4)
+and GF(8).
+"""
+
+import random
+import re
+
+import numpy as np
+import pytest
+
+from tamecoh.algebra import AlgebraError
+from tamecoh.cohomology import hh
+from tamecoh.families import make
+from tamecoh.field import Field, Subspace, inverse, kernel_space
+from tamecoh.lie import LieAlgebra, diagonal_model, from_cohomology
+
+GF2, GF3, GF4, GF8 = Field(2), Field(3), Field(2, 2), Field(2, 3)
+
+
+def ref_bracket(lie, u, v):
+    f, n, s = lie.field, lie.dim, lie.structure
+    out = [0] * n
+    for i in range(n):
+        for j in range(n):
+            c = f.mul(int(u[i]), int(v[j]))
+            if c:
+                for k in range(n):
+                    out[k] = f.add(out[k], f.mul(c, int(s[i, j, k])))
+    return np.array(out, dtype=np.int64)
+
+
+def ref_ad(lie, u):
+    n = lie.dim
+    cols = [ref_bracket(lie, u, np.eye(n, dtype=np.int64)[j]) for j in range(n)]
+    return np.array(cols, dtype=np.int64).T.reshape(n, n)
+
+
+def ref_killing(lie):
+    f, n = lie.field, lie.dim
+    ads = [ref_ad(lie, np.eye(n, dtype=np.int64)[i]) for i in range(n)]
+    out = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            tr = 0
+            for t in range(n):
+                for l in range(n):
+                    tr = f.add(tr, f.mul(int(ads[i][t, l]), int(ads[j][l, t])))
+            out[i, j] = tr
+    return out
+
+
+def ref_centre(lie):
+    # v is central iff sum_i v_i [e_i, e_j] = 0 for every j
+    n, s = lie.dim, lie.structure
+    rows = [[int(s[i, j, k]) for i in range(n)] for j in range(n) for k in range(n)]
+    return kernel_space(lie.field, np.array(rows, dtype=np.int64).reshape(n * n, n))
+
+
+def ref_conjugate(lie, mat):
+    f, n = lie.field, lie.dim
+    minv = inverse(f, mat)
+    s = np.zeros((n, n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            val = ref_bracket(lie, mat[:, i], mat[:, j])
+            for r in range(n):
+                acc = 0
+                for c in range(n):
+                    acc = f.add(acc, f.mul(int(minv[r, c]), int(val[c])))
+                s[i, j, r] = acc
+    return s
+
+
+def random_invertible(f, n, rng):
+    while True:
+        mat = f.rand(rng, (n, n))
+        try:
+            inverse(f, mat)
+            return mat
+        except ValueError:
+            pass
+
+
+def hh1_algebra(family, field, **params):
+    return from_cohomology(hh(make(family, field, **params).resolution, 1))
+
+
+CASES = {
+    "diag/GF(2)": lambda: diagonal_model(GF2, [1, 1, 0]),
+    "diag/GF(3)": lambda: diagonal_model(GF3, [1, 2, 1]),
+    "diag/GF(4)": lambda: diagonal_model(GF4, [1, 2, 3]),
+    "diag/GF(8)": lambda: diagonal_model(GF8, [3, 5]),
+    "D1A2(2,0)/GF(2)": lambda: hh1_algebra("D1A2", GF2, k=2, d=0),
+    "SD2B1(2,2,0)/GF(3)": lambda: hh1_algebra("SD2B1", GF3, k=2, s=2, c=0),
+    "Q1A2(2,2,3)/GF(4)": lambda: hh1_algebra("Q1A2", GF4, k=2, c=2, d=3),
+    "SD1A2(2,2,1)/GF(8)": lambda: hh1_algebra("SD1A2", GF8, k=2, c=2, d=1),
+}
+
+
+def algebras(case, seed):
+    """The case itself and one seeded random change of basis of it."""
+    lie = CASES[case]()
+    mat = random_invertible(lie.field, lie.dim, random.Random(seed))
+    return lie, lie.conjugate(mat), mat
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_conjugate_matches_loops(case):
+    lie, conj, mat = algebras(case, 1)
+    assert np.array_equal(conj.structure, ref_conjugate(lie, mat))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_bracket_and_ad_match_loops(case):
+    rng = random.Random(2)
+    for lie in algebras(case, 3)[:2]:
+        f, n = lie.field, lie.dim
+        for _ in range(6):
+            u, v = f.rand(rng, n), f.rand(rng, n)
+            assert np.array_equal(lie.bracket(u, v), ref_bracket(lie, u, v))
+            assert np.array_equal(lie.ad(u), ref_ad(lie, u))
+        assert np.array_equal(lie.bracket(np.zeros(n, dtype=np.int64), u), np.zeros(n))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_bracket_space_matches_loops(case):
+    rng = random.Random(4)
+    for lie in algebras(case, 5)[:2]:
+        f, n = lie.field, lie.dim
+        subs = [lie.full_space(), Subspace(f, n),
+                Subspace(f, n, f.rand(rng, (2, n))), Subspace(f, n, f.rand(rng, (3, n)))]
+        for a in subs:
+            for b in subs:
+                want = Subspace(f, n, [ref_bracket(lie, x, y) for x in a.rows for y in b.rows])
+                assert lie.bracket_space(a, b) == want
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_killing_and_centre_match_loops(case):
+    for lie in algebras(case, 6)[:2]:
+        assert np.array_equal(lie.killing_matrix(), ref_killing(lie))
+        assert lie.centre() == ref_centre(lie)
+
+
+def test_axioms_reject_a_square_that_is_not_zero():
+    s = np.zeros((2, 2, 2), dtype=np.int64)
+    s[1, 1, 0] = 1
+    with pytest.raises(AlgebraError, match=re.escape("[e_1, e_1] is not zero")):
+        LieAlgebra(GF3, s)
+
+
+def test_axioms_reject_a_bracket_that_is_not_antisymmetric():
+    s = np.zeros((3, 3, 3), dtype=np.int64)
+    s[0, 1, 2] = s[1, 0, 2] = 1
+    with pytest.raises(AlgebraError, match=re.escape("bracket not antisymmetric at (0,1)")):
+        LieAlgebra(GF3, s)
+
+
+@pytest.mark.parametrize("field", [GF3, GF4])
+def test_axioms_reject_a_jacobi_violation(field):
+    # on e_1, e_2, e_3: [e_1, e_2] = e_3, [e_1, e_3] = e_1 is alternating, but
+    # the Jacobi sum on (e_1, e_2, e_3) is -e_3
+    s = np.zeros((4, 4, 4), dtype=np.int64)
+    s[1, 2, 3], s[2, 1, 3] = 1, field.neg(1)
+    s[1, 3, 1], s[3, 1, 1] = 1, field.neg(1)
+    with pytest.raises(AlgebraError, match=re.escape("Jacobi identity fails on (1,2,3)")):
+        LieAlgebra(field, s)
