@@ -237,10 +237,12 @@ class Field:
         return "+".join(terms) if terms else "0"
 
     def rand(self, rng, shape=None):
-        """A random element, or an array of them drawn in one call seeded from rng."""
+        """A random element, or an array of them from one draw of rng's bytes."""
         if shape is None:
             return rng.randrange(self.q)
-        return np.random.default_rng(rng.getrandbits(64)).integers(self.q, size=shape)
+        words = np.frombuffer(rng.randbytes(8 * int(np.prod(shape))), dtype=np.uint64)
+        # q is below 2^12, so reducing 64-bit words leaves a bias under 2^-52
+        return (words % self.q).astype(np.int64).reshape(shape)
 
     # ---- GF(p)-linear views, used by the semilinear kernel ----
 
