@@ -406,13 +406,17 @@ class Algebra:
         return self._table
 
     def multiply(self, u, v) -> np.ndarray:
-        """The product uv, contracted over the supports of u and v only."""
+        """The product uv, or row by row for stacks that broadcast as in
+        ``field.matmul``.  The contraction runs over the basis pairs (x, y)
+        with b_x b_y nonzero, x and y in the union of the rows' supports."""
         f = self.field
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        su, sv = np.flatnonzero(u), np.flatnonzero(v)
-        coeffs = f.mul(u[su][:, None], v[sv]).reshape(-1)
-        return matmul(f, coeffs, self.table[su[:, None], sv].reshape(-1, self.dim))[0]
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64))
+        shape = u.shape
+        u, v = u.reshape(-1, self.dim), v.reshape(-1, self.dim)
+        su, sv = np.flatnonzero(u.any(axis=0)), np.flatnonzero(v.any(axis=0))
+        x, y = np.nonzero(self.table[su[:, None], sv].any(axis=2))
+        x, y = su[x], sv[y]
+        return matmul(f, f.mul(u[:, x], v[:, y]), self.table[x, y]).reshape(shape)
 
     def power(self, u, e: int) -> np.ndarray:
         if e < 0:

@@ -7,15 +7,17 @@ a kernel modulo an image of the induced matrices.
 
 An independent check for degree one comes from derivations: the module also
 solves the Leibniz system directly on the multiplication table, with no
-reference to the resolution, and compares dimensions.
+reference to the resolution, and compares dimensions.  Degree-one cochains
+become derivation matrices through the derivation operator, a (hom_1, n, n)
+stack read off the table: one matmul maps any stack of cochains.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraError
-from .field import Section, Subspace, image_basis, kernel_space, kron
+from .algebra import Algebra, AlgebraError, PathWord
+from .field import Section, Subspace, image_basis, kernel_space, matmul
 from .resolution import ResolutionSpec
 
 
@@ -53,10 +55,6 @@ class CohomologySpace:
     def representatives(self) -> list[np.ndarray]:
         eye = np.eye(self.dim, dtype=np.int64)
         return [self.representative(eye[i]) for i in range(self.dim)]
-
-    def unpack(self, vec):
-        """Cochain vector as one algebra element per free summand."""
-        return self.resolution.unpack_cochain(self.degree, vec)
 
     def same_class(self, u, v) -> bool:
         f = self.algebra.field
@@ -111,38 +109,28 @@ def derivation_space(alg: Algebra) -> Subspace:
     """
     f = alg.field
     n = alg.dim
-    q = alg.quiver
-    eye = np.eye(n, dtype=np.int64)
-    gens = []
-    for v in range(q.n_vertices):
-        gens.append(alg.element([(1, q.word_from_indices((), source=v))]))
-    for idx in range(len(q.arrows)):
-        gens.append(alg.element([(1, q.word_from_indices((idx,)))]))
-    rows = []
-    for g in gens:
-        Rg = alg.right_mult_matrix(g)
-        for i in range(n):
-            b = alg.basis_vector(i)
-            prod = alg.multiply(b, g)
-            # D(b g) = D . prod, D(b) g = R_g D e_i, b D(g) = L_b D g
-            block = kron(f, eye, prod[None, :])
-            block = f.sub(block, kron(f, Rg, eye[i][None, :]))
-            block = f.sub(block, kron(f, alg.left_mult_matrix(b), g[None, :]))
-            rows.append(block)
-    system = np.vstack(rows) if rows else np.zeros((0, n * n), dtype=np.int64)
-    return kernel_space(f, system)
+    gens = alg.generators()
+    # row (g, i, r) is coordinate r of D(b_i g) - D(b_i) g - b_i D(g); column
+    # (r', c') is the unknown D[r', c']
+    system = np.zeros((len(gens), n, n, n, n), dtype=np.int64)
+    diag = np.arange(n)
+    left = alg.table.transpose(0, 2, 1)  # left[i] = L_{b_i}
+    for rows, g in zip(system, gens):
+        rg = alg.right_mult_matrix(g)
+        # D (b_i g), then - R_g D e_i, then - L_{b_i} D g
+        rows[:, diag, diag, :] = rg.T[:, None, :]
+        rows[diag, :, :, diag] = f.sub(rows[diag, :, :, diag], rg)
+        for c in np.flatnonzero(g):
+            rows[..., c] = f.sub(rows[..., c], f.mul(left, int(g[c])))
+    return kernel_space(f, system.reshape(-1, n * n))
 
 
 def inner_derivation_space(alg: Algebra) -> Subspace:
     """Span of the commutator maps ad(u) = L_u - R_u, flattened."""
-    f = alg.field
-    n = alg.dim
-    cols = np.zeros((n * n, n), dtype=np.int64)
-    for i in range(n):
-        b = alg.basis_vector(i)
-        ad = f.sub(alg.left_mult_matrix(b), alg.right_mult_matrix(b))
-        cols[:, i] = ad.reshape(-1)
-    return image_basis(f, cols)
+    # ad(b_i)[r, c] = (b_i b_c - b_c b_i)[r], flattened as column i
+    t = alg.table
+    return image_basis(alg.field, alg.field.sub(t.transpose(2, 1, 0), t.transpose(2, 0, 1))
+                       .reshape(alg.dim ** 2, alg.dim))
 
 
 def hh1_oracle_dims(alg: Algebra) -> tuple[int, int, int]:
@@ -154,58 +142,67 @@ def hh1_oracle_dims(alg: Algebra) -> tuple[int, int, int]:
     return der.dim, inn.dim, der.dim - inn.dim
 
 
-def xi_extend(alg: Algebra, values, elem) -> np.ndarray:
-    """Apply the arrow-replacement extension of a cochain to an element.
+def _arrow_windows(alg: Algebra) -> list:
+    """Per arrow, the basis indices of e_source A e_target, in basis order."""
+    return [[i for i, w in enumerate(alg.basis) if (w.source, w.target) == (a.source, a.target)]
+            for a in alg.quiver.arrows]
 
-    ``values[j]`` is the image of arrow j.  A basis word maps to the sum
-    over its arrow positions of (prefix) value (suffix); idempotent words
-    map to zero.  The extension is a derivation of the algebra precisely
-    when the cochain is a cocycle.
+
+def derivation_operator(alg: Algebra) -> np.ndarray:
+    """The stack X of shape (hom_1, n, n) with X[c] the derivation whose arrow
+    values are the unit at arrow-window coordinate c.
+
+    A derivation with given arrow values sends a basis word to the sum over
+    its arrow positions of (prefix) value (suffix), and idempotents to zero.
+    The basis is the set of irreducible words, so every prefix and suffix of
+    a basis word is a basis word: the (word, position) term adds
+    ``table[prefix][window] @ table[:, suffix, :]`` to the word's column.
     """
-    f = alg.field
-    q = alg.quiver
-    elem = np.asarray(elem, dtype=np.int64)
-    acc = alg.zero()
-    for i in np.nonzero(elem)[0]:
-        w = alg.basis[i]
-        arrows = w.arrows
-        coeff = int(elem[i])
-        for pos, aj in enumerate(arrows):
-            pre = alg.element(
-                [(1, q.word_from_indices(arrows[:pos], source=w.source))])
-            post = alg.element(
-                [(1, q.word_from_indices(arrows[pos + 1:],
-                                         source=q.arrows[aj].target))])
-            term = alg.multiply(alg.multiply(pre, values[aj]), post)
-            acc = f.add(acc, f.mul(coeff, term))
-    return acc
+    f, t, n = alg.field, alg.table, alg.dim
+    arrows = alg.quiver.arrows
+    windows = _arrow_windows(alg)
+    start = np.cumsum([0, *map(len, windows)])
+    op = np.zeros((start[-1], n, n), dtype=np.int64)
+    for i, w in enumerate(alg.basis):
+        for pos, a in enumerate(w.arrows):
+            pre = alg.index[PathWord(w.arrows[:pos], w.source, arrows[a].source)]
+            post = alg.index[PathWord(w.arrows[pos + 1:], arrows[a].target, w.target)]
+            col = op[start[a]:start[a + 1], :, i]
+            col[...] = f.add(col, matmul(f, t[pre][windows[a]], t[:, post, :]))
+    return op
+
+
+def _derivations(alg: Algebra, coords) -> np.ndarray:
+    """Derivation matrices of arrow-window coordinate vectors, one per row."""
+    op = derivation_operator(alg)
+    out = matmul(alg.field, coords, op.reshape(len(op), alg.dim ** 2))
+    return out.reshape(*np.shape(coords)[:-1], alg.dim, alg.dim)
 
 
 def derivation_from_arrow_values(alg: Algebra, values) -> np.ndarray:
     """Matrix of the derivation with the given values on arrow classes.
 
     ``values[j]`` is the image of arrow j, which must lie in the matching
-    vertex window.  Column i is ``xi_extend`` applied to basis element i.
+    vertex window.  Column i is the image of basis element i.
     """
     q = alg.quiver
     vals = [np.asarray(v, dtype=np.int64) for v in values]
     if len(vals) != len(q.arrows):
         raise AlgebraError("need one value per arrow")
-    for j, v in enumerate(vals):
-        a = q.arrows[j]
-        win = alg.multiply(
-            alg.multiply(alg.element([(1, q.word_from_indices((), source=a.source))]), v),
-            alg.element([(1, q.word_from_indices((), source=a.target))]))
-        if not np.array_equal(win, v):
+    windows = _arrow_windows(alg)
+    for a, v, win in zip(q.arrows, vals, windows):
+        if np.any(np.delete(v, win)):
             raise AlgebraError(f"value for arrow {a.name} leaves its vertex window")
-    return np.array([xi_extend(alg, vals, alg.basis_vector(i))
-                     for i in range(alg.dim)], dtype=np.int64).T
+    return _derivations(alg, np.concatenate([v[win] for v, win in zip(vals, windows)]))
 
 
-def cochain_derivation(resolution: ResolutionSpec, vec) -> np.ndarray:
-    """Derivation matrix attached to a degree-1 cocycle vector."""
-    values = resolution.unpack_cochain(1, np.asarray(vec, dtype=np.int64))
-    return derivation_from_arrow_values(resolution.algebra, values)
+def cochain_derivation(resolution: ResolutionSpec, vecs) -> np.ndarray:
+    """Derivation matrix attached to a degree-1 cocycle vector, or one matrix
+    per row of a stack of them."""
+    alg = resolution.algebra
+    if resolution.cochain_coords(1) != _arrow_windows(alg):
+        raise AlgebraError("degree-one summands are not the arrow windows")
+    return _derivations(alg, vecs)
 
 
 def check_hh1_against_derivations(resolution: ResolutionSpec) -> dict:
@@ -223,18 +220,13 @@ def check_hh1_against_derivations(resolution: ResolutionSpec) -> dict:
     entries = []
     ok = True
 
-    mapped = []
-    for row in space.cocycles.rows:
-        mapped.append(cochain_derivation(resolution, row).reshape(-1))
-    mapped_sub = Subspace(f, alg.dim ** 2, mapped)
+    mapped_sub, cob_sub = (
+        Subspace(f, alg.dim ** 2, cochain_derivation(resolution, rows).reshape(len(rows), alg.dim ** 2))
+        for rows in (space.cocycles.rows, space.coboundaries.rows))
     good = der.contains_space(mapped_sub)
     ok &= good
     entries.append(("cocycles extend to derivations", good))
 
-    cob_mapped = []
-    for row in space.coboundaries.rows:
-        cob_mapped.append(cochain_derivation(resolution, row).reshape(-1))
-    cob_sub = Subspace(f, alg.dim ** 2, cob_mapped)
     good = inn.contains_space(cob_sub)
     ok &= good
     entries.append(("coboundaries are inner", good))

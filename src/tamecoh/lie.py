@@ -1,10 +1,9 @@
 """Lie structure on first cohomology and invariants that separate algebras.
 
 The bracket of two degree-one cocycles is computed on arrow values: a
-cocycle f is extended to the operator that replaces one arrow occurrence
-at a time by f(arrow), and [f, g] evaluates that extension of f on the
-values of g minus the extension of g on the values of f.  On classes this
-is the Gerstenhaber bracket, and the result of pairing a chosen basis of
+cocycle f extends to the derivation D_f that replaces one arrow occurrence
+at a time by f(arrow), and [f, g] is D_f on the values of g minus D_g on
+the values of f.  On classes this is the Gerstenhaber bracket, and the result of pairing a chosen basis of
 classes is a finite-dimensional Lie algebra over the ground field.
 
 The second half of the module works with such Lie algebras abstractly
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraError
-from .cohomology import CohomologySpace, hh, xi_extend
+from .cohomology import CohomologySpace, cochain_derivation, hh
 from .field import (
     Field,
     Section,
@@ -31,7 +30,6 @@ from .field import (
     as_matrix,
     inverse,
     kernel_space,
-    kron,
     matmul,
     matvec,
     rank,
@@ -52,35 +50,39 @@ def _sup(n: int) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _bracket_table(resolution: ResolutionSpec, cochains, check: bool) -> np.ndarray:
+    """[c_i, c_j] for every pair of a list of degree-one cocycles.
+
+    On arrow j, [u, v] is D_u(v_j) - D_v(u_j) with D_u the derivation matrix
+    of u and v_j the value of v on arrow j.  D_u keeps every arrow window, so
+    on cochain coordinates it acts by its restriction to each window.
+    """
+    f = resolution.algebra.field
+    k, h = len(cochains), resolution.hom_dim(1)
+    cochains = np.array(cochains, dtype=np.int64).reshape(k, h)
+    if check:
+        m2 = resolution.induced_matrix(2)
+        if np.any(matmul(f, m2, cochains.T)):
+            raise AlgebraError("not a cocycle")
+    coords = resolution.cochain_coords(1)
+    idx = np.array([i for block in coords for i in block], dtype=np.int64)
+    arrow = np.repeat(np.arange(len(coords)), [len(block) for block in coords])
+    derivs = cochain_derivation(resolution, cochains)
+    acts = derivs[:, idx[:, None], idx] * (arrow[:, None] == arrow)
+    images = matmul(f, acts, cochains.T)     # [i, :, j] = D_i applied to c_j
+    table = f.sub(images.transpose(0, 2, 1), images.transpose(2, 0, 1))
+    if check and np.any(matmul(f, m2, table.reshape(k * k, h).T)):
+        raise AlgebraError("bracket of cocycles failed to be a cocycle")
+    return table
+
+
 def bracket(resolution: ResolutionSpec, u, v, check: bool = True) -> np.ndarray:
     """Gerstenhaber bracket of two degree-one cocycle vectors.
 
     Both inputs must be cocycles (checked against the second induced
     matrix unless ``check`` is off); the output is again a cocycle.
     """
-    alg = resolution.algebra
-    f = alg.field
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    m2 = resolution.induced_matrix(2)
-    if check:
-        for w in (u, v):
-            if np.any(matvec(f, m2, w)):
-                raise AlgebraError("not a cocycle")
-    uvals = resolution.unpack_cochain(1, u)
-    vvals = resolution.unpack_cochain(1, v)
-    out = [f.sub(xi_extend(alg, uvals, vvals[j]),
-                 xi_extend(alg, vvals, uvals[j]))
-           for j in range(len(uvals))]
-    res = resolution.pack_cochain(1, out)
-    if check and np.any(matvec(f, m2, res)):
-        raise AlgebraError("bracket of cocycles failed to be a cocycle")
-    return res
-
-
-def class_bracket(space: CohomologySpace, u, v) -> np.ndarray:
-    """Class coordinates of the bracket of two cocycle vectors."""
-    return space.class_coords(bracket(space.resolution, u, v))
+    return _bracket_table(resolution, [u, v], check)[0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -312,22 +314,27 @@ class LieAlgebra:
         The flattening is row-major: entry m*dim + c of a solution vector
         is D[m, c].
         """
-        f = self.field
-        n = self.dim
         if lam == 0 and mu == 0 and nu == 0:
             raise AlgebraError("(0, 0, 0) does not constrain anything")
-        eye = np.eye(n, dtype=np.int64)
-        ads = [self.ad(self.basis_vector(i)) for i in range(n)]
-        blocks = []
-        for i in range(n):
-            for j in range(n):
-                w = self.structure[i, j]
-                block = f.mul(lam, kron(f, eye, w[None, :]))
-                block = f.add(block, f.mul(mu, kron(f, ads[j], eye[i][None, :])))
-                block = f.sub(block, f.mul(nu, kron(f, ads[i], eye[j][None, :])))
-                blocks.append(block)
-        system = np.vstack(blocks)
-        return kernel_space(f, system)
+        return kernel_space(self.field, self._derivation_system(lam, mu, nu))
+
+    def _derivation_system(self, lam, mu, nu) -> np.ndarray:
+        """The (n^3, n^2) linear system of ``gen_derivations``, filled in place.
+
+        Row (i, j, r) is coordinate r of lam D[e_i, e_j] - mu [D e_i, e_j]
+        - nu [e_i, D e_j]; column (r', c') is the unknown D[r', c'].
+        """
+        f = self.field
+        n = self.dim
+        ads = self.structure.transpose(0, 2, 1)   # ads[j] = ad(e_j)
+        system = np.zeros((n, n, n, n, n), dtype=np.int64)
+        diag = np.arange(n)
+        system[:, :, diag, diag, :] = f.mul(lam, self.structure)[:, :, None, :]
+        # [D e_i, e_j] = -ad(e_j) D e_i, in the columns c' = i
+        system[diag, :, :, :, diag] = f.add(system[diag, :, :, :, diag], f.mul(mu, ads)[None])
+        # [e_i, D e_j] = ad(e_i) D e_j, in the columns c' = j
+        system[:, diag, :, :, diag] = f.sub(system[:, diag, :, :, diag], f.mul(nu, ads)[None])
+        return system.reshape(n ** 3, n ** 2)
 
     def derivation_dim(self, rho) -> int:
         """dim of the (rho, 1, 1)-derivation space."""
@@ -438,11 +445,11 @@ def from_cohomology(space: CohomologySpace, fix: FixtureSet | None = None,
         def coord(v, _pi=p_inv):
             return matvec(f, _pi, space.class_coords(v))
 
+    table = _bracket_table(space.resolution, reps, check=False)
     s = np.zeros((n, n, n), dtype=np.int64)
     for i in range(n):
         for j in range(i + 1, n):
-            val = coord(bracket(space.resolution, reps[i], reps[j],
-                                check=False))
+            val = coord(table[i, j])
             s[i, j] = val
             s[j, i] = f.neg(val)
     return LieAlgebra(f, s, names=names, check=check)
@@ -470,13 +477,14 @@ def check_bracket_table(space: CohomologySpace, fix: FixtureSet) -> dict:
     identically and are skipped.
     """
     f = fix.field
+    table = _bracket_table(space.resolution, [fix.vec(a) for a in fix.basis], check=True)
     entries = []
     ok = True
-    for a in fix.basis:
-        for b in fix.basis:
+    for ia, a in enumerate(fix.basis):
+        for ib, b in enumerate(fix.basis):
             if a == b:
                 continue
-            computed = bracket(space.resolution, fix.vec(a), fix.vec(b))
+            computed = table[ia, ib]
             if (a, b) in fix.brackets:
                 expected = fix.vec(fix.brackets[(a, b)])
             elif (b, a) in fix.brackets:

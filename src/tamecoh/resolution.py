@@ -15,7 +15,10 @@ maps and wraps around for higher degrees.
 Verification covers the complex property (exact, on generators), minimality
 (all images in rad*Q + Q*rad), and exactness: as full linear maps when the
 algebra dimension is small, and through the induced one-sided complexes of
-the simple modules plus random probes otherwise.
+the simple modules plus random probes otherwise.  Probes are drawn first, in
+a fixed order from the caller's generator, and then evaluated together: the
+terms sit in zero-padded grids, so each product is one stacked
+``Algebra.multiply`` and each sum over terms one matmul.
 """
 
 from __future__ import annotations
@@ -76,6 +79,21 @@ def _assemble(field, row_sizes, col_sizes, blocks) -> np.ndarray:
         view = mat[roff[r]:roff[r + 1], coff[c]:coff[c + 1]]
         view[...] = field.add(view, block)
     return mat
+
+
+def _padded(groups, k: int, n: int) -> np.ndarray:
+    """k stacks of shape (len(groups), width, n): slot [g, j] of stack i holds
+    element i of the j-th tuple of group g, and unused slots hold zero."""
+    grid = np.zeros((k, len(groups), max(map(len, groups), default=0), n), dtype=np.int64)
+    for g, group in enumerate(groups):
+        for j, elems in enumerate(group):
+            grid[:, g, j] = elems
+    return grid
+
+
+def _slot_sums(field, stack) -> np.ndarray:
+    """Field sums over the slot axis of a (groups, width, n) stack."""
+    return matmul(field, np.ones((1, stack.shape[1]), dtype=np.int64), stack)[:, 0]
 
 
 def arrow_summands(alg: Algebra):
@@ -211,17 +229,6 @@ class ResolutionSpec:
                 pos += 1
         return out
 
-    def apply_diff(self, degree: int, values):
-        """Evaluate f . d^degree where f is given by its summand values."""
-        alg = self.algebra
-        out = []
-        for expr in self.diff_at(degree):
-            acc = alg.zero()
-            for s_idx, l, r in expr.terms:
-                acc = alg.field.add(acc, alg.multiply(alg.multiply(l, values[s_idx]), r))
-            out.append(acc)
-        return out
-
     def induced_matrix(self, degree: int) -> np.ndarray:
         """Matrix of ?.d^degree from cochains of degree-1 to cochains of degree.
 
@@ -245,71 +252,57 @@ class ResolutionSpec:
 
     # -- verification ------------------------------------------------------
 
-    def _compose_pair(self, upper_degree: int, gen: int):
-        """Image of one degree-n generator under d^(n-1) . d^n, per summand."""
+    def _composites(self, upper_degree: int) -> np.ndarray:
+        """d^(n-1) . d^n on every degree-n generator, as (generator, summand,
+        n, n): entry [g, t] is the sum of left (x) right over the pairs of
+        terms of generator g that land in summand t."""
         alg = self.algebra
         n = alg.dim
-        expr = self.diff_at(upper_degree)[gen]
+        gens = self.diff_at(upper_degree)
         lower = self.diff_at(upper_degree - 1)
         n_target = len(self.summands_at(upper_degree - 2))
-        acc = [np.zeros((n, n), dtype=np.int64) for _ in range(n_target)]
-        f = alg.field
-        for s_idx, l, r in expr.terms:
-            for t_idx, l2, r2 in lower[s_idx].terms:
-                left = alg.multiply(l, l2)
-                right = alg.multiply(r2, r)
-                acc[t_idx] = f.add(acc[t_idx], f.mul(left[:, None], right[None, :]))
-        return acc
+        pairs = [[(l, l2, r2, r) for s, l, r in expr.terms
+                  for t2, l2, r2 in lower[s].terms if t2 == t]
+                 for expr in gens for t in range(n_target)]
+        l, l2, r2, r = _padded(pairs, 4, n)
+        # the sum over pairs of left (x) right is left^T right
+        left, right = alg.multiply(l, l2), alg.multiply(r2, r)
+        sums = matmul(alg.field, left.swapaxes(1, 2), right)
+        return sums.reshape(len(gens), n_target, n, n)
 
     def check_complex(self, rng=None, probes: int = 2000) -> dict:
         """d.d = 0 on every generator, plus random full-element probes."""
         alg = self.algebra
+        f = alg.field
+        n = alg.dim
         entries = []
         ok = True
         top = self.depth + (1 if self.periodic else 0)
-        for degree in range(2, top + 1):
-            for gen in range(len(self.diff_at(degree))):
-                mats = self._compose_pair(degree, gen)
+        composites = {degree: self._composites(degree) for degree in range(2, top + 1)}
+        for degree, comps in composites.items():
+            for gen, mats in enumerate(comps):
                 bad = [i for i, m in enumerate(mats) if m.any()]
                 good = not bad
                 ok &= good
                 entries.append((f"d{degree - 1}.d{degree} generator {gen}", good,
                                 "" if good else f"nonzero in summands {bad}"))
         # degree 1 against the multiplication augmentation
-        f = alg.field
-        for gen, expr in enumerate(self.diff_at(1)):
-            acc = alg.zero()
-            for s_idx, l, r in expr.terms:
-                acc = f.add(acc, alg.multiply(l, r))
+        l, r = _padded([[(l, r) for _, l, r in expr.terms] for expr in self.diff_at(1)], 2, n)
+        for gen, acc in enumerate(_slot_sums(f, alg.multiply(l, r))):
             good = not acc.any()
             ok &= good
             entries.append((f"d0.d1 generator {gen}", good, ""))
         if rng is None:
             rng = random.Random(0)
         probe_fail = 0
-        composites = {
-            (degree, gen): self._compose_pair(degree, gen)
-            for degree in range(2, top + 1)
-            for gen in range(len(self.diff_at(degree)))
-        }
-        for degree in range(2, top + 1):
-            per = max(1, probes // max(1, top - 1))
-            for _ in range(per):
-                gen = rng.randrange(len(self.diff_at(degree)))
-                u = f.rand(rng, alg.dim)
-                v = f.rand(rng, alg.dim)
-                mats = composites[(degree, gen)]
-                for m in mats:
-                    rowsum = alg.zero()
-                    for i in range(alg.dim):
-                        if u[i]:
-                            rowsum = f.add(rowsum, f.mul(m[i], int(u[i])))
-                    total = 0
-                    for j in range(alg.dim):
-                        if v[j]:
-                            total = f.add(total, f.mul(int(rowsum[j]), int(v[j])))
-                    if total:
-                        probe_fail += 1
+        per = max(1, probes // max(1, top - 1))
+        for degree, comps in composites.items():
+            gens, us, vs = zip(*[(rng.randrange(len(comps)), f.rand(rng, n), f.rand(rng, n))
+                                 for _ in range(per)])
+            # u M against every generator's composites, then each probe's own
+            um = matmul(f, np.array(us), comps)[gens, :, np.arange(per)]
+            totals = matmul(f, um[:, :, None, :], np.array(vs)[:, None, :, None])
+            probe_fail += int(np.count_nonzero(totals))
         entries.append(("random element probes", probe_fail == 0,
                         "" if not probe_fail else f"{probe_fail} failures"))
         ok &= probe_fail == 0
@@ -351,9 +344,6 @@ class ResolutionSpec:
             out.append((_ends_at(alg, s.left), _starts_at(alg, s.right)))
         return out
 
-    def bimodule_dim(self, degree: int) -> int:
-        return sum(len(a) * len(b) for a, b in self._bimodule_pairs(degree))
-
     def full_matrix(self, degree: int) -> np.ndarray:
         """The differential as a matrix on the underlying vector spaces."""
         alg = self.algebra
@@ -371,14 +361,9 @@ class ResolutionSpec:
 
     def full_matrix_aug(self) -> np.ndarray:
         """Degree-0 augmentation u (x) v -> u*v as a matrix into A."""
-        alg = self.algebra
-        dom = self._bimodule_pairs(0)
-        cols = []
-        for (ii, jj) in dom:
-            for i in ii:
-                for j in jj:
-                    cols.append(alg.multiply(alg.basis_vector(i), alg.basis_vector(j)))
-        return np.array(cols, dtype=np.int64).T
+        t = self.algebra.table
+        cols = [t[np.ix_(ii, jj)].reshape(-1, t.shape[2]) for ii, jj in self._bimodule_pairs(0)]
+        return np.concatenate(cols).T
 
     def one_sided_matrix(self, vertex: int, degree: int) -> np.ndarray:
         """Matrix of the induced right-module complex S_vertex (x) Q.
@@ -404,6 +389,22 @@ class ResolutionSpec:
         )
         return _assemble(f, map(len, cod.values()), map(len, dom.values()), blocks)
 
+    def _bilinearity_failures(self, draws) -> int:
+        """How many probes (generator image, lam, mu, cochain values) break
+        lam (sum of l v_s r) mu = sum of ((lam l) v_s) (r mu), the statement
+        that cochain evaluation commutes with the bimodule action."""
+        alg = self.algebra
+        f = alg.field
+        l, v, r = _padded([[(l, values[s], r) for s, l, r in expr.terms]
+                           for expr, _, _, values in draws], 3, alg.dim)
+        lam, mu = (np.array([d[i] for d in draws])[:, None] for i in (1, 2))
+        mul = alg.multiply
+        pieces = np.concatenate([mul(mul(l, v), r), mul(mul(mul(lam, l), v), mul(r, mu))],
+                                axis=2)
+        sums = _slot_sums(f, pieces)
+        lhs = mul(mul(lam[:, 0], sums[:, :alg.dim]), mu[:, 0])
+        return int(np.count_nonzero(np.any(lhs != sums[:, alg.dim:], axis=1)))
+
     def check_exactness(self, rng=None, full_limit: int = 30,
                         probes: int = 1500) -> dict:
         alg = self.algebra
@@ -419,8 +420,7 @@ class ResolutionSpec:
             mats = {d: self.full_matrix(d) for d in range(1, top + 1)}
             prev_ker = kernel_space(f, aug)
             for d in range(1, top + 1):
-                im = Subspace(f, mats[d].shape[0],
-                              [mats[d][:, j] for j in range(mats[d].shape[1])])
+                im = Subspace(f, mats[d].shape[0], mats[d].T)
                 good = im == prev_ker
                 ok &= good
                 entries.append(
@@ -452,25 +452,19 @@ class ResolutionSpec:
                      "" if good else f"ker {ker.dim} vs im {im.dim}"))
         if rng is None:
             rng = random.Random(0)
-        fails = 0
+        draws = []
         for _ in range(probes):
             d = rng.randrange(2, top + 1)
             gen = rng.randrange(len(self.diff_at(d)))
             lam = f.rand(rng, alg.dim)
             mu = f.rand(rng, alg.dim)
             values = [f.rand(rng, alg.dim) for _ in self.summands_at(d - 1)]
-            # cochain evaluation commutes with the bimodule action
-            expr = self.diff_at(d)[gen]
-            img = alg.zero()
-            rhs = alg.zero()
-            for s_idx, l, r in expr.terms:
-                img = f.add(img, alg.multiply(alg.multiply(l, values[s_idx]), r))
-                piece = alg.multiply(alg.multiply(alg.multiply(lam, l), values[s_idx]),
-                                     alg.multiply(r, mu))
-                rhs = f.add(rhs, piece)
-            lhs = alg.multiply(alg.multiply(lam, img), mu)
-            if lhs.tolist() != rhs.tolist():
-                fails += 1
+            draws.append((self.diff_at(d)[gen], lam, mu, values))
+        # the products of a chunk of probes hold about 2^22 coefficients
+        width = max((len(expr) for d in range(2, top + 1) for expr in self.diff_at(d)), default=1)
+        chunk = max(1, 2 ** 22 // (max(width, 1) * alg.dim ** 2 * f.m ** 2))
+        fails = sum(self._bilinearity_failures(draws[i:i + chunk])
+                    for i in range(0, probes, chunk))
         entries.append(("bilinearity probes", fails == 0,
                         "" if not fails else f"{fails} failures"))
         ok &= fails == 0

@@ -412,3 +412,29 @@ def test_validate_names_a_failing_triple_of_a_corrupted_table(family, field, par
         bad.validate(random.Random(1))
     i, j, k = (int(x) for x in re.findall(r"\d+", str(err.value))[-3:])
     assert triple_fails(bad, i, j, k)
+
+
+ALL_FIELDS = [Field(p, m) for p in (2, 3, 5, 7) for m in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
+def test_stacked_multiply_matches_rows(field):
+    a = noncommutative_toy(field)
+    n = a.dim
+    rng = random.Random(field.q)
+    us, vs = field.rand(rng, (6, n)), field.rand(rng, (6, n))
+    us[1] = 0
+    vs[2] = 0
+    us[3] = a.basis_vector(2)
+    prods = a.multiply(us, vs)
+    assert prods.shape == (6, n)
+    for u, v, uv in zip(us, vs, prods):
+        assert np.array_equal(a.multiply(u, v), uv)
+        assert np.array_equal(uv, ref_product(a, u, v))
+    # a 1-D factor broadcasts against a stack, on either side
+    assert np.array_equal(a.multiply(us[0], vs), [a.multiply(us[0], v) for v in vs])
+    assert np.array_equal(a.multiply(us, vs[0]), [a.multiply(u, vs[0]) for u in us])
+    empty = np.zeros((0, n), dtype=np.int64)
+    assert a.multiply(empty, vs[0]).shape == (0, n)
+    assert a.multiply(empty, empty).shape == (0, n)
+    assert not a.multiply(np.zeros((3, n), dtype=np.int64), vs[:3]).any()

@@ -1,0 +1,462 @@
+"""The certifying route against the per-product loops it replaced.
+
+``check_complex``, ``check_exactness``, the Leibniz oracle and the bracket
+table are evaluated in stacked contractions.  The loops below are the
+earlier per-product implementations, kept as references: for the same
+seeded generator every report must come out equal, strings and failure
+counts included, on clean complexes, on algebras whose table has one
+corrupted product, and on complexes with one corrupted coefficient.
+"""
+
+import dataclasses
+import random
+
+import numpy as np
+import pytest
+
+from tamecoh.algebra import Algebra, AlgebraError
+from tamecoh.cohomology import (
+    cochain_derivation,
+    check_hh1_against_derivations,
+    derivation_from_arrow_values,
+    derivation_space,
+    hh,
+    inner_derivation_space,
+)
+from tamecoh.families import make
+from tamecoh.field import Field, Subspace, image_basis, kernel_space, kron, matmul, matvec, rank
+from tamecoh.fixtures import FIXTURE_FAMILIES, fixtures_for
+from tamecoh.lie import bracket, check_bracket_table, from_cohomology
+from tamecoh.resolution import ResolutionSpec, TensorExpr, _starts_at
+
+GF2, GF3, GF4, GF8 = Field(2), Field(3), Field(2, 2), Field(2, 3)
+
+
+# ---------------------------------------------------------------------------
+# references: the per-product loops
+# ---------------------------------------------------------------------------
+
+
+def ref_xi_extend(alg, values, elem):
+    """A basis word maps to the sum over its arrow positions of
+    (prefix) value (suffix); idempotent words map to zero."""
+    f = alg.field
+    q = alg.quiver
+    acc = alg.zero()
+    for i in np.nonzero(elem)[0]:
+        w = alg.basis[i]
+        arrows = w.arrows
+        for pos, aj in enumerate(arrows):
+            pre = alg.element([(1, q.word_from_indices(arrows[:pos], source=w.source))])
+            post = alg.element(
+                [(1, q.word_from_indices(arrows[pos + 1:], source=q.arrows[aj].target))])
+            term = alg.multiply(alg.multiply(pre, values[aj]), post)
+            acc = f.add(acc, f.mul(int(elem[i]), term))
+    return acc
+
+
+def ref_cochain_derivation(res, vec):
+    alg = res.algebra
+    values = res.unpack_cochain(1, vec)
+    return np.array([ref_xi_extend(alg, values, alg.basis_vector(i))
+                     for i in range(alg.dim)], dtype=np.int64).T
+
+
+def ref_bracket(res, u, v):
+    f = res.algebra.field
+    m2 = res.induced_matrix(2)
+    for w in (u, v):
+        if np.any(matvec(f, m2, w)):
+            raise AlgebraError("not a cocycle")
+    uvals, vvals = res.unpack_cochain(1, u), res.unpack_cochain(1, v)
+    out = [f.sub(ref_xi_extend(res.algebra, uvals, vvals[j]),
+                 ref_xi_extend(res.algebra, vvals, uvals[j]))
+           for j in range(len(uvals))]
+    out = res.pack_cochain(1, out)
+    if np.any(matvec(f, m2, out)):
+        raise AlgebraError("bracket of cocycles failed to be a cocycle")
+    return out
+
+
+def ref_compose_pair(res, upper_degree, gen):
+    alg = res.algebra
+    f = alg.field
+    n = alg.dim
+    lower = res.diff_at(upper_degree - 1)
+    acc = [np.zeros((n, n), dtype=np.int64)
+           for _ in res.summands_at(upper_degree - 2)]
+    for s_idx, l, r in res.diff_at(upper_degree)[gen].terms:
+        for t_idx, l2, r2 in lower[s_idx].terms:
+            left = alg.multiply(l, l2)
+            right = alg.multiply(r2, r)
+            acc[t_idx] = f.add(acc[t_idx], f.mul(left[:, None], right[None, :]))
+    return acc
+
+
+def ref_check_complex(res, rng, probes):
+    alg = res.algebra
+    f = alg.field
+    entries = []
+    top = res.depth + (1 if res.periodic else 0)
+    for degree in range(2, top + 1):
+        for gen in range(len(res.diff_at(degree))):
+            bad = [i for i, m in enumerate(ref_compose_pair(res, degree, gen)) if m.any()]
+            entries.append((f"d{degree - 1}.d{degree} generator {gen}", not bad,
+                            "" if not bad else f"nonzero in summands {bad}"))
+    for gen, expr in enumerate(res.diff_at(1)):
+        acc = alg.zero()
+        for _, l, r in expr.terms:
+            acc = f.add(acc, alg.multiply(l, r))
+        entries.append((f"d0.d1 generator {gen}", not acc.any(), ""))
+    probe_fail = 0
+    composites = {(degree, gen): ref_compose_pair(res, degree, gen)
+                  for degree in range(2, top + 1) for gen in range(len(res.diff_at(degree)))}
+    for degree in range(2, top + 1):
+        for _ in range(max(1, probes // max(1, top - 1))):
+            gen = rng.randrange(len(res.diff_at(degree)))
+            u = f.rand(rng, alg.dim)
+            v = f.rand(rng, alg.dim)
+            for m in composites[(degree, gen)]:
+                rowsum = alg.zero()
+                for i in range(alg.dim):
+                    if u[i]:
+                        rowsum = f.add(rowsum, f.mul(m[i], int(u[i])))
+                total = 0
+                for j in range(alg.dim):
+                    if v[j]:
+                        total = f.add(total, f.mul(int(rowsum[j]), int(v[j])))
+                probe_fail += bool(total)
+    entries.append(("random element probes", probe_fail == 0,
+                    "" if not probe_fail else f"{probe_fail} failures"))
+    return {"passed": all(e[1] for e in entries), "entries": entries}
+
+
+def ref_full_matrix_aug(res):
+    alg = res.algebra
+    cols = [alg.multiply(alg.basis_vector(i), alg.basis_vector(j))
+            for ii, jj in res._bimodule_pairs(0) for i in ii for j in jj]
+    return np.array(cols, dtype=np.int64).T
+
+
+def ref_check_exactness(res, rng, probes, full_limit=30):
+    alg = res.algebra
+    f = alg.field
+    entries = []
+    top = res.depth + (1 if res.periodic else 0)
+    if alg.dim <= full_limit:
+        aug = ref_full_matrix_aug(res)
+        entries.append(("augmentation surjective", rank(f, aug) == alg.dim, ""))
+        mats = {d: res.full_matrix(d) for d in range(1, top + 1)}
+        prev_ker = kernel_space(f, aug)
+        for d in range(1, top + 1):
+            im = Subspace(f, mats[d].shape[0], mats[d].T)
+            good = im == prev_ker
+            entries.append((f"im d{d} = ker d{d - 1} (full bimodule spaces)", good,
+                            "" if good else f"dims {im.dim} vs {prev_ker.dim}"))
+            prev_ker = kernel_space(f, mats[d])
+        if res.periodic:
+            entries.append(("wrap-in map has rank dim(A)",
+                            rank(f, mats[res.depth]) == alg.dim, ""))
+    for v in range(alg.quiver.n_vertices):
+        mats = {d: res.one_sided_matrix(v, d) for d in range(1, top + 1)}
+        entries.append((f"one-sided complex at vertex {v}: im d1 = rad",
+                        rank(f, mats[1]) == len(_starts_at(alg, v)) - 1, ""))
+        for d in range(1, top):
+            a, b = mats[d], mats[d + 1]
+            prod_zero = not matmul(f, a, b).any() if a.size and b.size else True
+            ker = kernel_space(f, a)
+            im = Subspace(f, b.shape[0], b.T)
+            good = prod_zero and im == ker
+            entries.append((f"one-sided exactness at vertex {v}, degree {d}", good,
+                            "" if good else f"ker {ker.dim} vs im {im.dim}"))
+    entries.append(ref_bilinearity(res, rng, probes))
+    return {"passed": all(e[1] for e in entries), "entries": entries}
+
+
+def ref_bilinearity(res, rng, probes):
+    alg = res.algebra
+    f = alg.field
+    top = res.depth + (1 if res.periodic else 0)
+    fails = 0
+    for _ in range(probes):
+        d = rng.randrange(2, top + 1)
+        gen = rng.randrange(len(res.diff_at(d)))
+        lam = f.rand(rng, alg.dim)
+        mu = f.rand(rng, alg.dim)
+        values = [f.rand(rng, alg.dim) for _ in res.summands_at(d - 1)]
+        img = alg.zero()
+        rhs = alg.zero()
+        for s_idx, l, r in res.diff_at(d)[gen].terms:
+            img = f.add(img, alg.multiply(alg.multiply(l, values[s_idx]), r))
+            rhs = f.add(rhs, alg.multiply(alg.multiply(alg.multiply(lam, l), values[s_idx]),
+                                          alg.multiply(r, mu)))
+        lhs = alg.multiply(alg.multiply(lam, img), mu)
+        fails += lhs.tolist() != rhs.tolist()
+    return ("bilinearity probes", fails == 0, "" if not fails else f"{fails} failures")
+
+
+def ref_derivation_space(alg):
+    """The Leibniz system block by block: three Kronecker products for each
+    (generator, basis element) pair."""
+    f = alg.field
+    n = alg.dim
+    eye = np.eye(n, dtype=np.int64)
+    blocks = []
+    for g in alg.generators():
+        rg = alg.right_mult_matrix(g)
+        for i in range(n):
+            b = alg.basis_vector(i)
+            block = kron(f, eye, alg.multiply(b, g)[None, :])
+            block = f.sub(block, kron(f, rg, eye[i][None, :]))
+            blocks.append(f.sub(block, kron(f, alg.left_mult_matrix(b), g[None, :])))
+    return kernel_space(f, np.vstack(blocks))
+
+
+def ref_inner_derivation_space(alg):
+    f = alg.field
+    cols = np.zeros((alg.dim ** 2, alg.dim), dtype=np.int64)
+    for i in range(alg.dim):
+        b = alg.basis_vector(i)
+        cols[:, i] = f.sub(alg.left_mult_matrix(b), alg.right_mult_matrix(b)).reshape(-1)
+    return image_basis(f, cols)
+
+
+def ref_check_hh1(res):
+    alg = res.algebra
+    f = alg.field
+    space = hh(res, 1)
+    der = ref_derivation_space(alg)
+    inn = ref_inner_derivation_space(alg)
+    mapped = Subspace(f, alg.dim ** 2,
+                      [ref_cochain_derivation(res, r).reshape(-1) for r in space.cocycles.rows])
+    cob = Subspace(f, alg.dim ** 2,
+                   [ref_cochain_derivation(res, r).reshape(-1) for r in space.coboundaries.rows])
+    entries = [("cocycles extend to derivations", der.contains_space(mapped)),
+               ("coboundaries are inner", inn.contains_space(cob)),
+               ("cocycles and inner derivations span Der", mapped.sum(inn) == der),
+               ("quotient dimensions agree", space.dim == der.dim - inn.dim)]
+    return {"passed": all(e[1] for e in entries), "entries": entries,
+            "hh1_dim": space.dim, "der_dim": der.dim, "inn_dim": inn.dim}
+
+
+def ref_check_bracket_table(space, fix):
+    f = fix.field
+    entries = []
+    for a in fix.basis:
+        for b in fix.basis:
+            if a == b:
+                continue
+            computed = ref_bracket(space.resolution, fix.vec(a), fix.vec(b))
+            if (a, b) in fix.brackets:
+                expected = fix.vec(fix.brackets[(a, b)])
+            elif (b, a) in fix.brackets:
+                expected = f.neg(fix.vec(fix.brackets[(b, a)]))
+            else:
+                expected = fix.vec({})
+            entries.append((a, b, bool(space.same_class(computed, expected))))
+    return {"passed": all(e[2] for e in entries), "entries": entries}
+
+
+# ---------------------------------------------------------------------------
+# the three variants of each instance
+# ---------------------------------------------------------------------------
+
+
+def with_corrupted_table(res):
+    """The same complex over a copy of the algebra whose table loses one
+    product of two arrow paths."""
+    alg = res.algebra
+    bad = Algebra(alg.field, alg.quiver, alg.rules)
+    t = bad.table.copy()
+    i, j = next((i, j) for i, wi in enumerate(bad.basis) if len(wi) >= 2
+                for j, wj in enumerate(bad.basis) if len(wj) and np.any(t[i, j]))
+    t[i, j] = 0
+    bad._table = t
+    return ResolutionSpec(bad, res.summands, res.diffs, relations=res.relations,
+                          periodic=res.periodic)
+
+
+def with_corrupted_coefficient(res):
+    """The first degree-2 term with its left factor doubled, as in the
+    benchmark's negative control."""
+    p = res.algebra.field.p
+    diffs = list(res.diffs)
+    first = diffs[2][0]
+    s_idx, left, right = first.terms[0]
+    bad = TensorExpr(first.terms)
+    bad.terms[0] = (s_idx, (2 * left) % p, right)
+    diffs[2] = [bad] + list(diffs[2][1:])
+    return ResolutionSpec(res.algebra, res.summands, diffs, relations=res.relations,
+                          periodic=res.periodic)
+
+
+INSTANCES = {
+    "SD2B1(2,2)/GF(3)": ("SD2B1", GF3, dict(k=2, s=2, c=0)),
+    "SD1A2(2,1,1)/GF(4)": ("SD1A2", GF4, dict(k=2, c=1, d=1)),
+    "Q1A2(4,1,1)/GF(2)": ("Q1A2", GF2, dict(k=4, c=1, d=1)),
+    "SD1A2(2,2,1)/GF(8)": ("SD1A2", GF8, dict(k=2, c=2, d=1)),
+}
+VARIANTS = {
+    "clean": lambda res: res,
+    "corrupted table": with_corrupted_table,
+    "corrupted coefficient": with_corrupted_coefficient,
+}
+
+
+def variant(case, kind):
+    family, field, params = INSTANCES[case]
+    inst = make(family, field, **params)
+    res = inst.resolution
+    fresh = ResolutionSpec(res.algebra, res.summands, res.diffs,
+                           relations=res.relations, periodic=res.periodic)
+    return inst, VARIANTS[kind](fresh)
+
+
+def outcome(fn, *args):
+    """A report, or the type and message of what the call raised."""
+    try:
+        return fn(*args)
+    except AlgebraError as err:
+        return (type(err).__name__, str(err))
+
+
+CASES = [(case, kind) for case in INSTANCES for kind in VARIANTS]
+
+
+@pytest.mark.parametrize("case,kind", CASES)
+def test_check_complex_matches_loops(case, kind):
+    _, res = variant(case, kind)
+    for seed in (1, 2):
+        got = res.check_complex(random.Random(seed), probes=60)
+        assert got == ref_check_complex(res, random.Random(seed), 60)
+    if kind != "corrupted table":
+        assert got["passed"] == (kind == "clean")
+
+
+@pytest.mark.parametrize("case,kind", CASES)
+def test_check_exactness_matches_loops(case, kind):
+    _, res = variant(case, kind)
+    for seed in (1, 2):
+        got = res.check_exactness(random.Random(seed), probes=40)
+        assert got == ref_check_exactness(res, random.Random(seed), 40)
+    if kind == "corrupted coefficient":
+        assert not got["passed"]
+
+
+def test_bilinearity_probe_failures_are_counted_exactly():
+    # a corrupted table breaks associativity, so single probes fail; the
+    # count must be the loop's count, not just nonzero
+    _, res = variant("SD2B1(2,2)/GF(3)", "corrupted table")
+    got = res.check_exactness(random.Random(4), probes=200)["entries"][-1]
+    want = ref_check_exactness(res, random.Random(4), 200)["entries"][-1]
+    assert got == want and got[2].endswith("failures")
+
+
+def test_exactness_probes_in_several_chunks_match_loops():
+    # a chunk holds 2^22 // (width * n^2 * m^2) probes, 124 here
+    res = make("Q1A2", GF4, k=5, c=0, d=2).resolution
+    width = max(len(e) for d in range(2, 5) for e in res.diff_at(d))
+    assert 2 * (2 ** 22 // (width * res.algebra.dim ** 2 * 4)) < 250
+    bad = with_corrupted_table(res)
+    got = bad.check_exactness(random.Random(6), probes=250)["entries"][-1]
+    assert got == ref_bilinearity(bad, random.Random(6), 250)
+    assert got[2].endswith("failures")
+
+
+@pytest.mark.parametrize("case,kind", CASES)
+def test_oracle_matches_loops(case, kind):
+    _, res = variant(case, kind)
+    assert derivation_space(res.algebra) == ref_derivation_space(res.algebra)
+    assert inner_derivation_space(res.algebra) == ref_inner_derivation_space(res.algebra)
+    assert outcome(check_hh1_against_derivations, res) == outcome(ref_check_hh1, res)
+
+
+def bracket_table_outcome(check, res, fix):
+    space = outcome(hh, res, 1)
+    return space if isinstance(space, tuple) else outcome(check, space, fix)
+
+
+@pytest.mark.parametrize("case,kind", [c for c in CASES if INSTANCES[c[0]][0] in FIXTURE_FAMILIES])
+def test_bracket_table_matches_loops(case, kind):
+    inst, res = variant(case, kind)
+    fix = fixtures_for(inst)
+    got = bracket_table_outcome(check_bracket_table, res, fix)
+    assert got == bracket_table_outcome(ref_check_bracket_table, res, fix)
+    if kind == "clean":
+        assert got["passed"]
+
+
+@pytest.mark.parametrize("case", [c for c in INSTANCES if INSTANCES[c][0] in FIXTURE_FAMILIES])
+def test_bracket_table_with_corrupted_fixtures_matches_loops(case):
+    inst, res = variant(case, "clean")
+    fix = fixtures_for(inst)
+    space = hh(res, 1)
+    first = next(iter(fix.brackets))
+    wrong = dataclasses.replace(
+        fix, brackets={k: v for k, v in fix.brackets.items() if k != first})
+    got = check_bracket_table(space, wrong)
+    assert got == ref_check_bracket_table(space, wrong)
+    assert not got["passed"]
+    outside = next(e for e in np.eye(res.hom_dim(1), dtype=np.int64)
+                   if not space.cocycles.contains(e))
+    broken = dataclasses.replace(fix, cochains={**fix.cochains, fix.basis[0]: outside})
+    assert outcome(check_bracket_table, space, broken) == ("AlgebraError", "not a cocycle")
+    assert outcome(ref_check_bracket_table, space, broken) == ("AlgebraError", "not a cocycle")
+
+
+# ---------------------------------------------------------------------------
+# derivation matrices and brackets
+# ---------------------------------------------------------------------------
+
+
+DERIVATION_CASES = [
+    ("D1A2", GF2, dict(k=2, d=0)),
+    ("SD2B1", GF3, dict(k=2, s=2, c=0)),
+    ("Q1A2", GF4, dict(k=2, c=2, d=3)),
+    ("SD1A2", GF8, dict(k=2, c=2, d=1)),
+]
+
+
+@pytest.mark.parametrize("family,field,params", DERIVATION_CASES)
+def test_cochain_derivation_matches_per_position_loop(family, field, params):
+    res = make(family, field, **params).resolution
+    alg = res.algebra
+    rng = random.Random(12)
+    # cocycles and arbitrary cochains alike
+    stack = np.vstack([hh(res, 1).cocycles.rows[:4],
+                       field.rand(rng, (3, res.hom_dim(1))),
+                       np.zeros((1, res.hom_dim(1)), dtype=np.int64)])
+    mats = cochain_derivation(res, stack)
+    assert mats.shape == (len(stack), alg.dim, alg.dim)
+    for vec, mat in zip(stack, mats):
+        want = ref_cochain_derivation(res, vec)
+        assert np.array_equal(cochain_derivation(res, vec), want)
+        assert np.array_equal(mat, want)
+        assert np.array_equal(
+            derivation_from_arrow_values(alg, res.unpack_cochain(1, vec)), want)
+    assert cochain_derivation(res, stack[:0]).shape == (0, alg.dim, alg.dim)
+
+
+@pytest.mark.parametrize("family,field,params", DERIVATION_CASES)
+def test_brackets_match_per_position_loop(family, field, params):
+    res = make(family, field, **params).resolution
+    space = hh(res, 1)
+    reps = space.representatives()
+    for u in reps[:3]:
+        for v in reps[:4]:
+            assert np.array_equal(bracket(res, u, v), ref_bracket(res, u, v))
+    lie = from_cohomology(space)
+    n = space.dim
+    for i in range(n):
+        for j in range(n):
+            want = space.class_coords(ref_bracket(res, reps[i], reps[j]))
+            assert np.array_equal(lie.structure[i, j], want)
+
+
+def test_bracket_rejects_non_cocycles():
+    res = make("D1A2", GF2, k=2, d=0).resolution
+    space = hh(res, 1)
+    n = res.hom_dim(1)
+    outside = next(e for e in np.eye(n, dtype=np.int64) if not space.cocycles.contains(e))
+    with pytest.raises(AlgebraError, match="not a cocycle"):
+        bracket(res, space.representatives()[0], outside)

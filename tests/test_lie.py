@@ -17,7 +17,7 @@ from tamecoh.algebra import AlgebraError
 from tamecoh.cohomology import hh
 from tamecoh.families import make
 from tamecoh.field import Field, Subspace, inverse, kernel_space
-from tamecoh.lie import LieAlgebra, diagonal_model, from_cohomology
+from tamecoh.lie import LieAlgebra, diagonal_model, fingerprint, from_cohomology
 
 GF2, GF3, GF4, GF8 = Field(2), Field(3), Field(2, 2), Field(2, 3)
 
@@ -170,3 +170,45 @@ def test_axioms_reject_a_jacobi_violation(field):
     s[1, 3, 1], s[3, 1, 1] = 1, field.neg(1)
     with pytest.raises(AlgebraError, match=re.escape("Jacobi identity fails on (1,2,3)")):
         LieAlgebra(field, s)
+
+
+def ref_derivation_system(lie, lam, mu, nu):
+    """The (lam, mu, nu)-derivation system block by block, as it was built
+    before it was filled in place: n^2 blocks of three Kronecker products."""
+    from tamecoh.field import kron
+
+    f = lie.field
+    n = lie.dim
+    eye = np.eye(n, dtype=np.int64)
+    ads = [lie.ad(lie.basis_vector(i)) for i in range(n)]
+    blocks = []
+    for i in range(n):
+        for j in range(n):
+            block = f.mul(lam, kron(f, eye, lie.structure[i, j][None, :]))
+            block = f.add(block, f.mul(mu, kron(f, ads[j], eye[i][None, :])))
+            block = f.sub(block, f.mul(nu, kron(f, ads[i], eye[j][None, :])))
+            blocks.append(block)
+    return np.vstack(blocks)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_derivation_system_matches_block_loop(case):
+    lie, conj, _ = algebras(case, 13)
+    f = lie.field
+    rng = random.Random(5)
+    weights = [(1, 1, 1), (0, 1, 1), (1, 0, 0)] + [
+        tuple(rng.randrange(f.q) for _ in range(3)) for _ in range(2)]
+    for alg in (lie, conj):
+        for lam, mu, nu in weights:
+            if lam == mu == nu == 0:
+                continue
+            system = alg._derivation_system(lam, mu, nu)
+            assert np.array_equal(system, ref_derivation_system(alg, lam, mu, nu))
+
+
+def test_zero_dimensional_lie_algebra_fingerprint():
+    lie = LieAlgebra(GF2, np.zeros((0, 0, 0), dtype=np.int64))
+    assert lie.gen_derivations(1, 1, 1) == Subspace(GF2, 0)
+    fp = fingerprint(lie, probes=[1])
+    assert fp.derivation_dims == ((1, 0),)
+    assert fp.dim == 0 and fp.nilradical_dim == 0

@@ -137,6 +137,18 @@ def test_hom_dims_for_local_family():
     assert res.hom_dim(2) == 3 * n
 
 
+def apply_diff(res, degree, values):
+    """Evaluate f . d^degree term by term, f given by its summand values."""
+    alg = res.algebra
+    out = []
+    for expr in res.diff_at(degree):
+        acc = alg.zero()
+        for s_idx, l, r in expr.terms:
+            acc = alg.field.add(acc, alg.multiply(alg.multiply(l, values[s_idx]), r))
+        out.append(acc)
+    return out
+
+
 def test_induced_matrix_agrees_with_apply_diff():
     # degrees 5-8 of the quaternion complex wrap around the period
     cases = [
@@ -153,7 +165,7 @@ def test_induced_matrix_agrees_with_apply_diff():
             for _ in range(20):
                 vec = f.rand(rng, res.hom_dim(degree - 1))
                 values = res.unpack_cochain(degree - 1, vec)
-                image = res.pack_cochain(degree, res.apply_diff(degree, values))
+                image = res.pack_cochain(degree, apply_diff(res, degree, values))
                 assert np.array_equal(image, matvec(f, mat, vec))
 
 
