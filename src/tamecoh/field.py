@@ -25,9 +25,18 @@ column, reduced mod p and packed back into codes.  Over GF(p) the expansion
 is the identity and the product is ``(A @ B) % p``.  The same expansion gives
 the GF(p)-linear matrices of semilinear maps (``semilinear_kernel``).
 
-Matrices are plain ``numpy`` int64 arrays of codes.  All row reduction is
-done in exact field arithmetic; ``Subspace`` keeps a reduced row echelon
-basis, which makes equal subspaces bit-identical.
+That product runs in float64 through BLAS, as in FFLAS-FFPACK (Dumas, Giorgi,
+Pernet, ACM TOMS 2008), and is exact: every partial sum is an integer of at
+most k (p - 1)^2 for inner dimension k, and ``matmul`` refuses a product
+where that bound reaches 2^53.
+
+Matrices are plain ``numpy`` int64 arrays of codes, and all row reduction is
+exact.  ``Subspace`` keeps a reduced row echelon basis, which makes equal
+subspaces bit-identical.
+``rref`` reduces each block of rows against the echelon basis so far in one
+``matmul``, eliminates the residual pivot by pivot, and back-reduces the
+basis on the new pivots in one more.  The RREF is unique, so the blocks do
+not change it.
 """
 
 from __future__ import annotations
@@ -268,8 +277,39 @@ def as_matrix(rows) -> np.ndarray:
 
 
 def rref(field: Field, mat) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot columns."""
-    r_mat = as_matrix(mat).copy()
+    """The nonzero rows of the reduced row echelon form, and its pivot columns.
+
+    Blocks hold about 2^16 entries, and at least n_cols rows so that one
+    can hold a full basis.  A matrix of one block is eliminated pivot by pivot.
+    """
+    a = as_matrix(mat)
+    n_rows, n_cols = a.shape
+    block = max(n_cols, 2**16 // max(n_cols, 1))
+    basis, pivots = _eliminate(field, a[:block].copy())
+    for start in range(block, n_rows, block):
+        if len(pivots) == n_cols:
+            break
+        res = _reduce_rows(field, a[start:start + block], basis, pivots)
+        new, new_pivots = _eliminate(field, res[res.any(axis=1)])
+        if new_pivots:
+            basis = np.vstack([_reduce_rows(field, basis, new, new_pivots), new])
+            basis = basis[np.argsort(pivots + new_pivots)]
+            pivots = sorted(pivots + new_pivots)
+    return basis, pivots
+
+
+def _reduce_rows(field: Field, rows, basis, pivots) -> np.ndarray:
+    """The residual rows - rows[:, pivots] @ basis against a reduced echelon
+    basis, in one matmul over the rows that touch a pivot column."""
+    out = rows.copy()
+    hit = np.flatnonzero(rows[:, pivots].any(axis=1))
+    if len(hit):
+        out[hit] = field.sub(rows[hit], matmul(field, rows[hit][:, pivots], basis))
+    return out
+
+
+def _eliminate(field: Field, r_mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Per-pivot elimination of r_mat in place; its nonzero RREF rows and pivots."""
     n_rows, n_cols = r_mat.shape
     pivots: list[int] = []
     r = 0
@@ -295,7 +335,7 @@ def rref(field: Field, mat) -> tuple[np.ndarray, list[int]]:
             r_mat[rows_nz, c:] = field.sub(r_mat[rows_nz, c:], update)
         pivots.append(c)
         r += 1
-    return r_mat, pivots
+    return r_mat[:r], pivots
 
 
 def rank(field: Field, mat) -> int:
@@ -306,27 +346,24 @@ def matmul(field: Field, a, b) -> np.ndarray:
     """Matrix product over the field; stacks of matrices broadcast as in np.matmul.
 
     Over GF(p^m) every entry x of ``a`` becomes the m x m block ``mats[x]``
-    and every entry y of ``b`` its digit column, so one integer product mod p
-    gives the digits of the result.
+    and every entry y of ``b`` its digit column, so one product mod p gives
+    the digits of the result.  That product runs in float64 through BLAS.
     """
     a_m = as_matrix(a)
     b_m = as_matrix(b)
     if a_m.shape[-1] != b_m.shape[-2]:
         raise ValueError(f"shape mismatch {a_m.shape} @ {b_m.shape}")
     p, m = field.p, field.m
-    if m == 1:
-        return _int_matmul(a_m, b_m) % p
     r, k, c = a_m.shape[-2], a_m.shape[-1], b_m.shape[-1]
-    big_a = field._mats[a_m].swapaxes(-3, -2).reshape(*a_m.shape[:-2], r * m, k * m)
-    big_b = field._digits[b_m].swapaxes(-2, -1).reshape(*b_m.shape[:-2], k * m, c)
-    prod = _int_matmul(big_a, big_b) % p
+    if k * m * (p - 1) ** 2 >= 2**53:
+        raise ValueError(f"inner dimension {k} is past the exact float64 range")
+    if m > 1:
+        a_m = field._mats[a_m].swapaxes(-3, -2).reshape(*a_m.shape[:-2], r * m, k * m)
+        b_m = field._digits[b_m].swapaxes(-2, -1).reshape(*b_m.shape[:-2], k * m, c)
+    prod = (a_m.astype(np.float64) @ b_m.astype(np.float64)).astype(np.int64) % p
+    if m == 1:
+        return prod
     return field._pow_p @ prod.reshape(*prod.shape[:-2], r, m, c)
-
-
-def _int_matmul(a, b) -> np.ndarray:
-    # numpy's integer matmul has no BLAS; on stacks of small matrices
-    # einsum's product loop is faster, and on large ones no slower
-    return np.einsum("...ij,...jk->...ik", a, b)
 
 
 def kron(field: Field, a, b) -> np.ndarray:
@@ -343,13 +380,12 @@ def matvec(field: Field, a, v) -> np.ndarray:
 
 def kernel_basis(field: Field, mat) -> np.ndarray:
     """Canonical basis (as rows) of the right kernel {v : mat @ v = 0}."""
-    m = as_matrix(mat)
-    n_cols = m.shape[1]
-    r_mat, pivots = rref(field, m)
+    r_mat, pivots = rref(field, mat)
+    n_cols = r_mat.shape[1]
     free = [c for c in range(n_cols) if c not in pivots]
     basis = np.zeros((len(free), n_cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = field.neg(r_mat[: len(pivots)][:, free].T)
+    basis[:, pivots] = field.neg(r_mat[:, free].T)
     return basis
 
 
@@ -363,8 +399,7 @@ def solve(field: Field, a, b):
     if n_cols in pivots:
         return None
     x = np.zeros(n_cols, dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = r_mat[i, n_cols]
+    x[pivots] = r_mat[:, n_cols]
     return x
 
 
@@ -378,7 +413,7 @@ def inverse(field: Field, a) -> np.ndarray:
     red, pivots = rref(field, aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return red[:n, n:]
+    return red[:, n:]
 
 
 class Subspace:
@@ -388,12 +423,8 @@ class Subspace:
         self.field = field
         self.ambient_dim = ambient_dim
         if vectors is None or len(vectors) == 0:
-            self.rows = np.zeros((0, ambient_dim), dtype=np.int64)
-            self._pivots: list[int] = []
-        else:
-            r_mat, pivots = rref(field, as_matrix(vectors))
-            self.rows = r_mat[: len(pivots)]
-            self._pivots = pivots
+            vectors = np.zeros((0, ambient_dim), dtype=np.int64)
+        self.rows, self._pivots = rref(field, vectors)
 
     @property
     def dim(self) -> int:
@@ -403,17 +434,12 @@ class Subspace:
         return not np.any(self.reduce(v))
 
     def reduce(self, v) -> np.ndarray:
-        """Residual of v after eliminating against the echelon basis."""
-        res = np.asarray(v, dtype=np.int64).copy()
-        f = self.field
-        for i, pc in enumerate(self._pivots):
-            c = int(res[pc])
-            if c:
-                res = f.sub(res, f.mul(c, self.rows[i]))
-        return res
+        """Residual of v, or of each row of a stack, against the echelon basis."""
+        v = np.asarray(v, dtype=np.int64)
+        return _reduce_rows(self.field, as_matrix(v), self.rows, self._pivots).reshape(v.shape)
 
     def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
+        return self.contains(other.rows)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
@@ -426,15 +452,13 @@ class Subspace:
                         np.vstack([self.rows, other.rows]))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        # ker of the pairing with both annihilator... simplest: solve via
-        # the kernel of [A^T | -B^T] stacked coefficients.
+        # (x, y) with x A + y B = 0 gives x A in both
         a, b = self.rows, other.rows
         if self.dim == 0 or other.dim == 0:
             return Subspace(self.field, self.ambient_dim)
         big = np.vstack([a, b]).T  # n x (da+db)
         ker = kernel_basis(self.field, big)
-        vecs = [matvec(self.field, a.T, k[: self.dim]) for k in ker]
-        return Subspace(self.field, self.ambient_dim, vecs)
+        return Subspace(self.field, self.ambient_dim, matmul(self.field, ker[:, : self.dim], a))
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, {self.field})"
@@ -457,24 +481,16 @@ class Section:
             if ambient.ambient_dim != n:
                 raise ValueError("ambient dimension mismatch")
             amb_rows = ambient.rows
-        acc = Subspace(field, n, sub.rows)
-        comp = []
-        for row in amb_rows:
-            if not acc.contains(row):
-                comp.append(row.copy())
-                acc = Subspace(field, n, np.vstack([acc.rows, row[None, :]]))
-        self.comp = (np.array(comp, dtype=np.int64) if comp
-                     else np.zeros((0, n), dtype=np.int64))
+        # the pivot columns of [sub; ambient]^T are the rows that the greedy
+        # pass keeps; sub's rows are independent, so they all come first
+        _, pivots = rref(field, np.vstack([sub.rows, amb_rows]).T)
+        self.comp = amb_rows[[c - sub.dim for c in pivots[sub.dim:]]]
         stack = np.vstack([sub.rows, self.comp])  # r x n, independent rows
         r = stack.shape[0]
-        if r:
-            aug = np.hstack([stack.T, np.eye(n, dtype=np.int64)])
-            red, pivots = rref(field, aug)
-            if pivots[:r] != list(range(r)):
-                raise AssertionError("section basis unexpectedly dependent")
-            self._left_inv = red[:r, r:]  # L with L @ stack.T = I_r
-        else:
-            self._left_inv = np.zeros((0, n), dtype=np.int64)
+        red, pivots = rref(field, np.hstack([stack.T, np.eye(n, dtype=np.int64)]))
+        if pivots[:r] != list(range(r)):
+            raise AssertionError("section basis unexpectedly dependent")
+        self._left_inv = red[:r, r:]  # L with L @ stack.T = I_r
         self._sub_dim = sub.dim
 
     @property
@@ -483,16 +499,13 @@ class Section:
 
     def class_coords(self, v) -> np.ndarray:
         """Coordinates of v + sub in the complement basis (v must lie in ambient)."""
-        y = matvec(self.field, self._left_inv, v)
-        return y[self._sub_dim:]
+        return matvec(self.field, self._left_inv, v)[self._sub_dim:]
 
     def decompose(self, v) -> tuple[np.ndarray, np.ndarray]:
         y = matvec(self.field, self._left_inv, v)
         return y[: self._sub_dim], y[self._sub_dim:]
 
     def lift(self, coords) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros(self.sub.ambient_dim, dtype=np.int64)
         return matvec(self.field, self.comp.T, coords)
 
 

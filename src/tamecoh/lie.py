@@ -398,13 +398,9 @@ def verify_iso(l1: LieAlgebra, l2: LieAlgebra, mat) -> bool:
         inverse(f, mat)
     except ValueError:
         return False
-    for i in range(l1.dim):
-        for j in range(i + 1, l1.dim):
-            lhs = matvec(f, mat, l1.structure[i, j])
-            rhs = l2.bracket(mat[:, i], mat[:, j])
-            if not np.array_equal(lhs, rhs):
-                return False
-    return True
+    # mat [e_i, e_j] against [mat e_i, mat e_j], as rows, for every pair i < j
+    i, j = np.triu_indices(l1.dim, 1)
+    return np.array_equal(matmul(f, l1.structure[i, j], mat.T), l2._brackets(mat.T[i], mat.T[j]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from tamecoh.field import (
     _tables,
     Section,
     Subspace,
+    as_matrix,
     expand_vector,
     image_basis,
     kernel_basis,
@@ -300,8 +301,91 @@ def test_rref_is_idempotent_and_preserves_row_space():
             a = f.rand(rng, (4, 6))
             r1, piv1 = rref(f, a)
             r2, piv2 = rref(f, r1)
+            assert r1.shape == (len(piv1), 6)
             assert np.array_equal(r1, r2) and piv1 == piv2
-            assert Subspace(f, 6, a) == Subspace(f, 6, r1[: len(piv1)])
+            assert Subspace(f, 6, a) == Subspace(f, 6, r1)
+
+
+def ref_rref(field, mat):
+    """The per-pivot elimination that ``rref`` ran on every matrix before it
+    took rows in blocks, kept verbatim; it returns all rows."""
+    r_mat = as_matrix(mat).copy()
+    n_rows, n_cols = r_mat.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        if r >= n_rows:
+            break
+        col = r_mat[r:, c]
+        nz = np.nonzero(col)[0]
+        if len(nz) == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            r_mat[[r, pr]] = r_mat[[pr, r]]
+        # row r is zero left of column c, so only columns c.. change
+        piv = int(r_mat[r, c])
+        if piv != 1:
+            r_mat[r, c:] = field.mul(r_mat[r, c:], field.inv(piv))
+        col_vals = r_mat[:, c].copy()
+        col_vals[r] = 0
+        rows_nz = np.nonzero(col_vals)[0]
+        if len(rows_nz):
+            update = field.mul(col_vals[rows_nz][:, None], r_mat[r, c:][None, :])
+            r_mat[rows_nz, c:] = field.sub(r_mat[rows_nz, c:], update)
+        pivots.append(c)
+        r += 1
+    return r_mat, pivots
+
+
+def block_rows(n_cols):
+    """The rows per block of ``rref``: about 2^16 entries, at least n_cols."""
+    return max(n_cols, 2**16 // n_cols)
+
+
+def rref_cases(f, rng):
+    """Named matrices that span several of rref's row blocks."""
+    def sparse(rows, cols, nnz):
+        a = np.zeros(rows * cols, dtype=np.int64)
+        a[[rng.randrange(rows * cols) for _ in range(nnz)]] = [
+            1 + rng.randrange(f.q - 1) for _ in range(nnz)]
+        return a.reshape(rows, cols)
+
+    def low_rank(rows, cols, r):
+        return matmul(f, f.rand(rng, (rows, r)), f.rand(rng, (r, cols)))
+
+    b = block_rows(16)
+    # the first block touches only the right half, so later blocks bring new
+    # pivots to the left of old ones and the basis is back-reduced
+    right = np.zeros((b, 16), dtype=np.int64)
+    right[:, 8:] = low_rank(b, 8, 5)
+    # full rank only with the last block's rows, which bring column 0
+    late_full = f.rand(rng, (b + 2, 16))
+    late_full[:b, 0] = 0
+    zeros_between = f.rand(rng, (2 * b + 3, 16))
+    zeros_between[b - 2: 2 * b + 1] = 0
+    return {
+        "tall dense": f.rand(rng, (2 * b + 7, 16)),
+        "tall sparse": sparse(3 * b, 16, 12),
+        "rank-deficient": np.vstack([right, low_rank(2 * b, 16, 6)]),
+        "last pivot late": late_full,
+        "zero rows": zeros_between,
+        "all zero": np.zeros((b + 1, 16), dtype=np.int64),
+        "block - 1": sparse(b - 1, 16, 20),
+        "block + 1": sparse(b + 1, 16, 20),
+        "wide, block + 1": low_rank(block_rows(300) + 1, 300, 9),
+        "wide sparse": sparse(2 * block_rows(300) + 1, 300, 150),
+    }
+
+
+@pytest.mark.parametrize("p,m", ALL_PARAMS)
+def test_block_rref_matches_per_pivot_rref(p, m):
+    f = Field(p, m)
+    for name, a in rref_cases(f, random.Random(p * 10 + m)).items():
+        got, piv = rref(f, a)
+        want, want_piv = ref_rref(f, a)
+        assert piv == want_piv, name
+        assert np.array_equal(got, want[: len(piv)]), name
 
 
 def test_subspace_canonical_under_row_mixing():
@@ -385,6 +469,72 @@ def test_matmul_matches_naive_extension_field():
         # a vector is a one-row matrix, broadcast against the stack
         assert np.array_equal(matmul(f, a[0, 0], b),
                               [ref_matmul(f, a[0, :1], b[s]) for s in range(2)])
+
+
+@pytest.mark.parametrize("p,m", ALL_PARAMS)
+def test_matmul_is_exact_at_inner_dim_2_16(p, m):
+    """Every digit p - 1 on both sides, against Python integers."""
+    f = Field(p, m)
+    top = f.q - 1   # the code whose digits are all p - 1
+    k = 2**16
+    # sum of k equal products: k times the digits of top * top, mod p
+    want = ref_code(f, [k * d for d in ref_digits(f, ref_mul(f, top, top))])
+    for a_shape, b_shape, out_shape in [((2, k), (k, 3), (2, 3)),
+                                        ((2, 2, k), (2, k, 2), (2, 2, 2))]:
+        got = matmul(f, np.full(a_shape, top), np.full(b_shape, top))
+        assert got.shape == out_shape and np.all(got == want)
+
+
+@pytest.mark.parametrize("p,m", ALL_PARAMS)
+def test_matmul_refuses_an_inner_dim_past_the_float64_range(p, m):
+    f = Field(p, m)
+    k = -(-2**53 // (m * (p - 1) ** 2))   # the least inner dim whose bound reaches 2^53
+    # zero-stride views: no memory is allocated before the check refuses
+    a = np.broadcast_to(np.int64(1), (1, k))
+    b = np.broadcast_to(np.int64(1), (k, 1))
+    with pytest.raises(ValueError, match="exact float64"):
+        matmul(f, a, b)
+
+
+def ref_reduce(sub, v):
+    """The per-pivot loop that ``Subspace.reduce`` ran before."""
+    f = sub.field
+    res = np.asarray(v, dtype=np.int64).copy()
+    for i, pc in enumerate(sub._pivots):
+        c = int(res[pc])
+        if c:
+            res = f.sub(res, f.mul(c, sub.rows[i]))
+    return res
+
+
+def ref_greedy_complement(f, sub, amb_rows):
+    """The complement ``Section`` chose before: one ``contains`` and one
+    rebuild of the accumulated subspace per ambient row."""
+    acc = Subspace(f, sub.ambient_dim, sub.rows)
+    comp = []
+    for row in amb_rows:
+        if np.any(ref_reduce(acc, row)):
+            comp.append(row.copy())
+            acc = Subspace(f, sub.ambient_dim, np.vstack([acc.rows, row[None, :]]))
+    return np.array(comp, dtype=np.int64).reshape(-1, sub.ambient_dim)
+
+
+def test_reduce_and_section_match_the_loops():
+    rng = random.Random(23)
+    for p, m in [(2, 1), (3, 1), (7, 1), (2, 2), (2, 3), (5, 2)]:
+        f = Field(p, m)
+        for sub_rows, amb_rows in [(f.rand(rng, (3, 9)), f.rand(rng, (6, 9))),
+                                   (f.rand(rng, (0, 9)), f.rand(rng, (5, 9))),
+                                   (f.rand(rng, (2, 9)), None),
+                                   (np.eye(9, dtype=np.int64)[[1, 4]], np.eye(9, dtype=np.int64)[2:6])]:
+            sub = Subspace(f, 9, sub_rows)
+            vs = f.rand(rng, (7, 9))
+            assert np.array_equal(sub.reduce(vs), [ref_reduce(sub, v) for v in vs])
+            assert np.array_equal(sub.reduce(vs[0]), ref_reduce(sub, vs[0]))
+            amb = None if amb_rows is None else Subspace(f, 9, np.vstack([sub.rows, amb_rows]))
+            sec = Section(f, sub, amb)
+            want = ref_greedy_complement(f, sub, np.eye(9, dtype=np.int64) if amb is None else amb.rows)
+            assert np.array_equal(sec.comp, want)
 
 
 def test_section_splits_ambient():

@@ -17,7 +17,7 @@ from tamecoh.algebra import AlgebraError
 from tamecoh.cohomology import hh
 from tamecoh.families import make
 from tamecoh.field import Field, Subspace, inverse, kernel_space
-from tamecoh.lie import LieAlgebra, diagonal_model, fingerprint, from_cohomology
+from tamecoh.lie import LieAlgebra, diagonal_model, fingerprint, from_cohomology, verify_iso
 
 GF2, GF3, GF4, GF8 = Field(2), Field(3), Field(2, 2), Field(2, 3)
 
@@ -145,6 +145,37 @@ def test_killing_and_centre_match_loops(case):
     for lie in algebras(case, 6)[:2]:
         assert np.array_equal(lie.killing_matrix(), ref_killing(lie))
         assert lie.centre() == ref_centre(lie)
+
+
+def ref_verify_iso(l1, l2, mat):
+    """The per-pair check ``verify_iso`` made before, for an invertible mat."""
+    f, n = l1.field, l1.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = [0] * n
+            for r in range(n):
+                for c in range(n):
+                    lhs[r] = f.add(lhs[r], f.mul(int(mat[r, c]), int(l1.structure[i, j, c])))
+            if not np.array_equal(lhs, ref_bracket(l2, mat[:, i], mat[:, j])):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_verify_iso_matches_pair_loop(case):
+    lie, conj, mat = algebras(case, 7)
+    assert verify_iso(conj, lie, mat)
+    wrong = random_invertible(lie.field, lie.dim, random.Random(8))
+    for l1, l2, m in [(conj, lie, wrong), (lie, conj, mat), (lie, lie, wrong)]:
+        assert verify_iso(l1, l2, m) == ref_verify_iso(l1, l2, m)
+    # brackets that differ on one pair only: the first, then the last
+    f, n = lie.field, lie.dim
+    for i, j in [(0, 1), (n - 2, n - 1)]:
+        s = lie.structure.copy()
+        s[i, j, 0] = f.add(s[i, j, 0], 1)
+        s[j, i, 0] = f.neg(s[i, j, 0])
+        bent = LieAlgebra(f, s, check=False)
+        assert not verify_iso(lie, bent, np.eye(n, dtype=np.int64))
 
 
 def test_axioms_reject_a_square_that_is_not_zero():
