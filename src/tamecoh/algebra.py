@@ -31,6 +31,12 @@ from .field import (
 )
 
 
+# reduction steps one normal form may take before the rules count as looping
+STEP_LIMIT = 2_000_000
+# basis words past which enumeration counts the algebra as infinite-dimensional
+DIM_GUARD = 4000
+
+
 class AlgebraError(Exception):
     pass
 
@@ -100,11 +106,6 @@ class Quiver:
             cur = a.target
         return PathWord(idxs, src, cur)
 
-    def compose(self, w1: PathWord, w2: PathWord) -> PathWord | None:
-        if w1.target != w2.source:
-            return None
-        return PathWord(w1.arrows + w2.arrows, w1.source, w2.target)
-
     def word_str(self, w: PathWord) -> str:
         if not w.arrows:
             return f"I({self.vertex_labels[w.source]})"
@@ -148,13 +149,11 @@ class RewriteEngine:
     strategy is available separately so tests can probe confluence.
     """
 
-    def __init__(self, field: Field, quiver: Quiver, rules, length_cap: int,
-                 step_limit: int = 2_000_000):
+    def __init__(self, field: Field, quiver: Quiver, rules, length_cap: int):
         self.field = field
         self.quiver = quiver
         self.rules = sorted(rules, key=lambda r: 0 if r.is_zero else 1)
         self.length_cap = length_cap
-        self.step_limit = step_limit
         self._cache: dict[tuple, tuple] = {}
         self._normal: set[tuple] = set()
         self.max_seen_len = 0
@@ -169,14 +168,6 @@ class RewriteEngine:
                 if length <= rest and w[pos : pos + length] == rule.lhs:
                     return pos, ri
         return None
-
-    def is_normal(self, w: tuple) -> bool:
-        if w in self._normal:
-            return True
-        if self.find_match(w) is None:
-            self._normal.add(w)
-            return True
-        return False
 
     def normal_form_word(self, word) -> dict[tuple, int]:
         word = tuple(word)
@@ -230,25 +221,11 @@ class RewriteEngine:
                 else:
                     terms.pop(nw, None)
             steps += 1
-            if steps > self.step_limit:
-                raise RewriteError(f"step limit {self.step_limit} exceeded")
+            if steps > STEP_LIMIT:
+                raise RewriteError(f"step limit {STEP_LIMIT} exceeded")
         result = {w: c for w, c in terms.items() if c}
         self._cache[word] = tuple(result.items())
         return result
-
-    def normal_form_combo(self, terms) -> dict[tuple, int]:
-        f = self.field
-        out: dict[tuple, int] = {}
-        for w, c in (terms.items() if isinstance(terms, dict) else terms):
-            if c == 0:
-                continue
-            for w2, c2 in self.normal_form_word(w).items():
-                merged = f.add(out.get(w2, 0), f.mul(c, c2))
-                if merged:
-                    out[w2] = merged
-                else:
-                    out.pop(w2, None)
-        return out
 
     def random_strategy_normal_form(self, word, rng) -> dict[tuple, int]:
         """Reduce with randomly chosen redexes; no caching.  For confluence tests."""
@@ -279,7 +256,7 @@ class RewriteEngine:
                 else:
                     terms.pop(nw, None)
             steps += 1
-            if steps > self.step_limit:
+            if steps > STEP_LIMIT:
                 raise RewriteError("step limit exceeded under random strategy")
         return {w: c for w, c in terms.items() if c}
 
@@ -288,14 +265,12 @@ class Algebra:
     """Finite-dimensional quotient of a path algebra, with exact multiplication."""
 
     def __init__(self, field: Field, quiver: Quiver, rules, name: str = "",
-                 expected_dim: int | None = None, length_cap: int | None = None,
-                 dim_guard: int = 4000):
+                 expected_dim: int | None = None, length_cap: int | None = None):
         self.field = field
         self.quiver = quiver
         self.name = name
         self.expected_dim = expected_dim
         self.rules = sorted(rules, key=lambda r: 0 if r.is_zero else 1)
-        self.dim_guard = dim_guard
         self.basis = self._enumerate_basis()
         self.dim = len(self.basis)
         self.index = {w: i for i, w in enumerate(self.basis)}
@@ -326,9 +301,9 @@ class Algebra:
                     if not blocked:
                         new.append(PathWord(ext, w.source, arr.target))
             basis.extend(new)
-            if len(basis) > self.dim_guard:
+            if len(basis) > DIM_GUARD:
                 raise AlgebraError(
-                    f"basis enumeration passed {self.dim_guard} words; "
+                    f"basis enumeration passed {DIM_GUARD} words; "
                     "the relations do not define a finite-dimensional algebra "
                     "with this orientation"
                 )
@@ -429,9 +404,6 @@ class Algebra:
             e >>= 1
         return acc
 
-    def commutator(self, u, v) -> np.ndarray:
-        return self.field.sub(self.multiply(u, v), self.multiply(v, u))
-
     def left_mult_matrix(self, u) -> np.ndarray:
         """Matrix of x -> ux."""
         u = np.asarray(u, dtype=np.int64)
@@ -495,18 +467,9 @@ class Algebra:
         into A / [A, A].
         """
         f = self.field
-        comm = self.commutator_space()
-        sec = Section(f, comm)
-        e = f.p**n
-        cols = []
-        for i in range(self.dim):
-            pw = self.power(self.basis_vector(i), e)
-            cols.append(sec.class_coords(pw))
-        mat = np.array(cols, dtype=np.int64).T if cols else np.zeros((0, 0), dtype=np.int64)
-        if mat.shape[0] == 0:
-            # everything is a commutator; T_n is the whole algebra
-            return Subspace(f, self.dim, np.eye(self.dim, dtype=np.int64))
-        ker_p = semilinear_kernel(f, mat, n % f.m)
+        sec = Section(f, self.commutator_space())
+        powers = self.power(np.eye(self.dim, dtype=np.int64), f.p**n)
+        ker_p = semilinear_kernel(f, sec.class_coords(powers).T, n % f.m)
         packed = [pack_vector(f, r) for r in ker_p.rows]
         space = Subspace(f, self.dim, packed)
         if f.m * space.dim != ker_p.dim:
@@ -515,10 +478,7 @@ class Algebra:
 
     def power_subspace_perp(self, lam, n: int = 1) -> Subspace:
         tn = self.power_subspace(n)
-        if tn.dim == 0:
-            return Subspace(self.field, self.dim, np.eye(self.dim, dtype=np.int64))
-        g = self.gram_matrix(lam)
-        return kernel_space(self.field, matmul(self.field, tn.rows, g))
+        return kernel_space(self.field, matmul(self.field, tn.rows, self.gram_matrix(lam)))
 
     def stable_center_quotient_dim(self, lam, n: int = 1) -> int:
         """dim of Z(A) / (T_n)^perp for the symmetrizing form lam."""

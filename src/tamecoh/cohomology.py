@@ -43,7 +43,8 @@ class CohomologySpace:
         return self.cocycles.contains(np.asarray(vec, dtype=np.int64))
 
     def class_coords(self, vec) -> np.ndarray:
-        """Coordinates of the class of a cocycle in the chosen basis."""
+        """Coordinates of the class of a cocycle in the chosen basis, or of
+        each row of a stack of cocycles."""
         v = np.asarray(vec, dtype=np.int64)
         if not self.cocycles.contains(v):
             raise AlgebraError("not a cocycle")

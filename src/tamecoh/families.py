@@ -592,7 +592,7 @@ _BUILDERS = {
 _CACHE: dict = {}
 
 
-def make(family: str, field: Field, validate: bool = True, **params) -> FamilyInstance:
+def make(family: str, field: Field, **params) -> FamilyInstance:
     """Build, certify and cache one instance of a family."""
     if family not in _BUILDERS:
         raise FamilyError(
@@ -613,9 +613,8 @@ def make(family: str, field: Field, validate: bool = True, **params) -> FamilyIn
         hh1_dim=data["hh1_dim"], hh_dim_fn=data.get("hh_dim_fn"),
     )
     inst.check_relations()
-    if validate:
-        alg.validate()
-        alg.check_symmetrizing(inst.lam)
+    alg.validate()
+    alg.check_symmetrizing(inst.lam)
     _CACHE[key] = inst
     return inst
 

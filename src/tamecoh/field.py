@@ -498,8 +498,11 @@ class Section:
         return self.comp.shape[0]
 
     def class_coords(self, v) -> np.ndarray:
-        """Coordinates of v + sub in the complement basis (v must lie in ambient)."""
-        return matvec(self.field, self._left_inv, v)[self._sub_dim:]
+        """Coordinates of v + sub in the complement basis, or of each row of a
+        stack (v must lie in ambient)."""
+        v = np.asarray(v, dtype=np.int64)
+        coords = matmul(self.field, as_matrix(v), self._left_inv[self._sub_dim:].T)
+        return coords.reshape(*v.shape[:-1], self.dim)
 
     def decompose(self, v) -> tuple[np.ndarray, np.ndarray]:
         y = matvec(self.field, self._left_inv, v)

@@ -643,8 +643,7 @@ def fixture_check(space, fix: FixtureSet) -> dict:
         entries.append((f"cocycle {name}", bool(space.is_cocycle(vec))))
 
     try:
-        cols = [space.class_coords(fix.vec(n)) for n in fix.basis]
-        mat = np.array(cols, dtype=np.int64)
+        mat = space.class_coords(np.array([fix.vec(n) for n in fix.basis]))
         independent = rank(f, mat) == len(fix.basis)
     except AlgebraError:
         independent = False
@@ -713,11 +712,8 @@ def iso_matrix(space_a, fix_a: FixtureSet, space_b, fix_b: FixtureSet,
     n = space_a.dim
     if space_b.dim != n:
         raise AlgebraError("dimension mismatch between the two spaces")
-    pa = np.zeros((n, n), dtype=np.int64)
-    imgs = np.zeros((n, n), dtype=np.int64)
-    for j, name in enumerate(fix_a.basis):
-        pa[:, j] = space_a.class_coords(fix_a.vec(name))
-        imgs[:, j] = space_b.class_coords(fix_b.vec(mapping[name]))
+    pa = space_a.class_coords(np.array([fix_a.vec(name) for name in fix_a.basis])).T
+    imgs = space_b.class_coords(np.array([fix_b.vec(mapping[name]) for name in fix_a.basis])).T
     try:
         pa_inv = inverse(f, pa)
     except ValueError as exc:

@@ -6,12 +6,20 @@ at a time by f(arrow), and [f, g] is D_f on the values of g minus D_g on
 the values of f.  On classes this is the Gerstenhaber bracket, and the result of pairing a chosen basis of
 classes is a finite-dimensional Lie algebra over the ground field.
 
+``from_cohomology`` takes every pair of basis cochains through one bracket
+table and reads all the class coordinates off one stacked section product,
+in the canonical basis of the class section or in a named fixture basis.
+
 The second half of the module works with such Lie algebras abstractly
-(structure constants over GF(p^m)): lower central and derived series,
-centre, Killing form, the largest nilpotent ideal, and spaces of
-(lam, mu, nu)-derivations.  A fingerprint bundles the invariants so two
-algebras can be compared, and ``distinguish`` names the first invariant
-that differs.
+(structure constants over GF(p^m)).  Every bracket goes through one
+contraction, the adjoint matrices of a stack of rows against the structure
+constants; a subspace bracket contracts one side, then the other.  Lower
+central and derived series, ideal closures and the nilpotency test of a
+subalgebra are one descending-series loop with different steps.  Beside
+them: centre, Killing form, the largest nilpotent ideal, quotients by
+ideals, and spaces of (lam, mu, nu)-derivations.  A fingerprint bundles the
+invariants so two algebras can be compared, and ``distinguish`` names the
+first invariant that differs.
 """
 
 from __future__ import annotations
@@ -22,19 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraError
-from .cohomology import CohomologySpace, cochain_derivation, hh
-from .field import (
-    Field,
-    Section,
-    Subspace,
-    as_matrix,
-    inverse,
-    kernel_space,
-    matmul,
-    matvec,
-    rank,
-)
-from .fixtures import FIXTURE_FAMILIES, FixtureSet, fixtures_for
+from .cohomology import CohomologySpace, cochain_derivation
+from .field import Field, Section, Subspace, as_matrix, inverse, kernel_space, matmul, rank
+from .fixtures import FixtureSet
 from .resolution import ResolutionSpec
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴"
@@ -76,13 +74,13 @@ def _bracket_table(resolution: ResolutionSpec, cochains, check: bool) -> np.ndar
     return table
 
 
-def bracket(resolution: ResolutionSpec, u, v, check: bool = True) -> np.ndarray:
+def bracket(resolution: ResolutionSpec, u, v) -> np.ndarray:
     """Gerstenhaber bracket of two degree-one cocycle vectors.
 
     Both inputs must be cocycles (checked against the second induced
-    matrix unless ``check`` is off); the output is again a cocycle.
+    matrix); the output is again a cocycle.
     """
-    return _bracket_table(resolution, [u, v], check)[0, 1]
+    return _bracket_table(resolution, [u, v], check=True)[0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -148,22 +146,22 @@ class LieAlgebra:
 
     # ---- the bracket and adjoint maps ----
 
-    def _brackets(self, xs, ys) -> np.ndarray:
-        """Rows [xs[r], ys[r]]: the outer product of each row pair against
-        the structure constants, all pairs in one field matmul."""
-        f = self.field
+    def _ads(self, xs) -> np.ndarray:
+        """For each row x of xs, the (n, n) matrix whose row j is [x, e_j],
+        all rows in one field matmul against the structure constants.
+
+        ``matmul(f, ys, self._ads(xs))[r, s]`` is then [xs[r], ys[s]].
+        """
         n = self.dim
-        xs, ys = as_matrix(xs), as_matrix(ys)
-        pairs = f.mul(xs[:, :, None], ys[:, None, :]).reshape(len(xs), n * n)
-        return matmul(f, pairs, self.structure.reshape(n * n, n))
+        xs = as_matrix(xs)
+        return matmul(self.field, xs, self.structure.reshape(n, n * n)).reshape(len(xs), n, n)
 
     def bracket(self, u, v) -> np.ndarray:
-        return self._brackets(u, v)[0]
+        return matmul(self.field, v, self._ads(u)[0])[0]
 
     def ad(self, u) -> np.ndarray:
         """Matrix of x -> [u, x]."""
-        n = self.dim
-        return self._brackets(np.broadcast_to(u, (n, n)), np.eye(n, dtype=np.int64)).T
+        return self._ads(u)[0].T
 
     def basis_vector(self, i: int) -> np.ndarray:
         e = np.zeros(self.dim, dtype=np.int64)
@@ -194,45 +192,37 @@ class LieAlgebra:
     # ---- subspace machinery ----
 
     def bracket_space(self, a: Subspace, b: Subspace) -> Subspace:
-        xs = np.repeat(a.rows, b.dim, axis=0)
-        ys = np.tile(b.rows, (a.dim, 1))
-        return Subspace(self.field, self.dim, self._brackets(xs, ys))
+        """Span of [x, y] over the basis rows x of a and y of b.  The adjoint
+        matrices of a cost a n^3, the pairs a b n^2: pass the smaller first."""
+        pairs = matmul(self.field, b.rows, self._ads(a.rows))
+        return Subspace(self.field, self.dim, pairs.reshape(-1, self.dim))
+
+    def _series(self, sub: Subspace, step) -> list:
+        """[sub, step(sub), step(step(sub)), ...] until a term is zero or
+        the step returns it unchanged."""
+        series = [sub]
+        while series[-1].dim:
+            nxt = step(series[-1])
+            if nxt == series[-1]:
+                break
+            series.append(nxt)
+        return series
 
     def ideal_closure(self, sub: Subspace) -> Subspace:
         full = self.full_space()
-        cur = sub
-        while True:
-            nxt = cur.sum(self.bracket_space(full, cur))
-            if nxt == cur:
-                return cur
-            cur = nxt
+        return self._series(sub, lambda cur: cur.sum(self.bracket_space(cur, full)))[-1]
 
     def is_ideal(self, sub: Subspace) -> bool:
-        return sub.contains_space(self.bracket_space(self.full_space(), sub))
+        return sub.contains_space(self.bracket_space(sub, self.full_space()))
 
     def lower_central_series(self) -> list:
         """[L, L^1, L^2, ...] with L^(i+1) = [L^i, L], until stable."""
         full = self.full_space()
-        series = [full]
-        while series[-1].dim:
-            nxt = self.bracket_space(series[-1], full)
-            if nxt == series[-1]:
-                break
-            series.append(nxt)
-        return series
+        return self._series(full, lambda cur: self.bracket_space(cur, full))
 
     def derived_series(self) -> list:
         """[L, D^1, D^2, ...] with D^(i+1) = [D^i, D^i], until stable."""
-        series = [self.full_space()]
-        while series[-1].dim:
-            nxt = self.bracket_space(series[-1], series[-1])
-            if nxt == series[-1]:
-                break
-            series.append(nxt)
-        return series
-
-    def is_nilpotent(self) -> bool:
-        return self.lower_central_series()[-1].dim == 0
+        return self._series(self.full_space(), lambda cur: self.bracket_space(cur, cur))
 
     def centre(self) -> Subspace:
         # v is central iff sum_i v_i structure[i, j, :] = 0 for every j
@@ -247,13 +237,7 @@ class LieAlgebra:
         """
         if not sub.contains_space(self.bracket_space(sub, sub)):
             raise AlgebraError("not a subalgebra")
-        term = sub
-        while term.dim:
-            nxt = self.bracket_space(sub, term)
-            if nxt == term:
-                return False
-            term = nxt
-        return True
+        return self._series(sub, lambda term: self.bracket_space(term, sub))[-1].dim == 0
 
     # ---- invariants ----
 
@@ -346,15 +330,11 @@ class LieAlgebra:
         """Quotient by an ideal: (LieAlgebra, Section onto the classes)."""
         if not self.is_ideal(ideal):
             raise AlgebraError("quotient requires an ideal")
-        f = self.field
-        sec = Section(f, ideal)
-        qdim = sec.dim
-        lifts = [sec.lift(_unit(qdim, a)) for a in range(qdim)]
-        s = np.zeros((qdim, qdim, qdim), dtype=np.int64)
-        for a in range(qdim):
-            for b in range(qdim):
-                s[a, b] = sec.class_coords(self.bracket(lifts[a], lifts[b]))
-        return LieAlgebra(f, s, check=False), sec
+        # the lifts of the quotient's unit vectors are the complement rows
+        sec = Section(self.field, ideal)
+        pairs = matmul(self.field, sec.comp, self._ads(sec.comp)).reshape(-1, self.dim)
+        return LieAlgebra(self.field, sec.class_coords(pairs).reshape((sec.dim,) * 3),
+                          check=False), sec
 
     def conjugate(self, mat, check: bool = True) -> "LieAlgebra":
         """Structure constants in the basis whose columns are ``mat``."""
@@ -362,19 +342,12 @@ class LieAlgebra:
         mat = np.asarray(mat, dtype=np.int64)
         minv = inverse(f, mat)
         n = self.dim
-        cols = mat.T
-        vals = self._brackets(np.repeat(cols, n, axis=0), np.tile(cols, (n, 1)))
+        vals = matmul(f, mat.T, self._ads(mat.T)).reshape(n * n, n)
         s = matmul(f, vals, minv.T).reshape(n, n, n)
         return LieAlgebra(f, s, check=check)
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim}, field={self.field})"
-
-
-def _unit(n: int, i: int) -> np.ndarray:
-    e = np.zeros(n, dtype=np.int64)
-    e[i] = 1
-    return e
 
 
 def _projective_reps(f: Field, dim: int):
@@ -400,7 +373,8 @@ def verify_iso(l1: LieAlgebra, l2: LieAlgebra, mat) -> bool:
         return False
     # mat [e_i, e_j] against [mat e_i, mat e_j], as rows, for every pair i < j
     i, j = np.triu_indices(l1.dim, 1)
-    return np.array_equal(matmul(f, l1.structure[i, j], mat.T), l2._brackets(mat.T[i], mat.T[j]))
+    images = matmul(f, mat.T, l2._ads(mat.T))
+    return np.array_equal(matmul(f, l1.structure[i, j], mat.T), images[i, j])
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +382,7 @@ def verify_iso(l1: LieAlgebra, l2: LieAlgebra, mat) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def from_cohomology(space: CohomologySpace, fix: FixtureSet | None = None,
-                    check: bool = True) -> LieAlgebra:
+def from_cohomology(space: CohomologySpace, fix: FixtureSet | None = None) -> LieAlgebra:
     """Lie algebra of a degree-one cohomology space.
 
     Without a fixture set the basis is the canonical one of the class
@@ -421,47 +394,28 @@ def from_cohomology(space: CohomologySpace, fix: FixtureSet | None = None,
     f = space.algebra.field
     n = space.dim
     if fix is None:
-        reps = space.representatives()
-        names = None
-        coord = space.class_coords
+        names, reps, p_inv = None, space.section.comp, None
     else:
         names = tuple(fix.basis)
-        reps = [fix.vec(nm) for nm in names]
+        reps = np.array([fix.vec(nm) for nm in names])
         if len(reps) != n:
             raise AlgebraError(
                 f"fixture basis has {len(reps)} elements, cohomology has dim {n}")
-        p_mat = np.zeros((n, n), dtype=np.int64)
-        for j, vec in enumerate(reps):
-            p_mat[:, j] = space.class_coords(vec)
+        # named coordinates are P^-1 times canonical ones, where the columns
+        # of P are the canonical coordinates of the named classes
         try:
-            p_inv = inverse(f, p_mat)
+            p_inv = inverse(f, space.class_coords(reps).T)
         except ValueError:
             raise AlgebraError("fixture classes do not form a basis") from None
-
-        def coord(v, _pi=p_inv):
-            return matvec(f, _pi, space.class_coords(v))
-
     table = _bracket_table(space.resolution, reps, check=False)
+    i, j = np.triu_indices(n, 1)
+    coords = space.class_coords(table[i, j])
+    if p_inv is not None:
+        coords = matmul(f, coords, p_inv.T)
     s = np.zeros((n, n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = coord(table[i, j])
-            s[i, j] = val
-            s[j, i] = f.neg(val)
-    return LieAlgebra(f, s, names=names, check=check)
-
-
-def hh1_lie(inst, named: bool = True, check: bool = True) -> LieAlgebra:
-    """First-cohomology Lie algebra of a family instance.
-
-    ``named`` asks for the catalogued basis when the family has one;
-    families without a catalogue fall back to the canonical basis.
-    """
-    space = hh(inst.resolution, 1)
-    fix = None
-    if named and inst.family in FIXTURE_FAMILIES:
-        fix = fixtures_for(inst)
-    return from_cohomology(space, fix, check=check)
+    s[i, j] = coords
+    s[j, i] = f.neg(coords)
+    return LieAlgebra(f, s, names=names)
 
 
 def check_bracket_table(space: CohomologySpace, fix: FixtureSet) -> dict:
@@ -559,17 +513,17 @@ class Fingerprint:
 
 def fingerprint(lie: LieAlgebra, probes=(), nilradical_limit: int = 10 ** 6
                 ) -> Fingerprint:
-    lower = tuple(s.dim for s in lie.lower_central_series()[1:])
+    lower = lie.lower_central_series()
     derived = tuple(s.dim for s in lie.derived_series()[1:])
     nilrad = lie.nilradical(limit=nilradical_limit)
     der_dims = tuple((int(rho), lie.derivation_dim(rho)) for rho in probes)
     return Fingerprint(
         dim=lie.dim,
-        lower_central_dims=lower,
+        lower_central_dims=tuple(s.dim for s in lower[1:]),
         derived_dims=derived,
         centre_dim=lie.centre().dim,
         killing_rank=lie.killing_rank(),
-        nilpotent=lie.is_nilpotent(),
+        nilpotent=lower[-1].dim == 0,
         nilradical_dim=None if nilrad is None else nilrad.dim,
         derivation_dims=der_dims,
     )
@@ -583,15 +537,14 @@ def _padded(a: tuple, b: tuple) -> list:
     return list(zip(pa, pb))
 
 
-def distinguish(fp1: Fingerprint, fp2: Fingerprint, dim_label: str = "dim"
-                ) -> str:
+def distinguish(fp1: Fingerprint, fp2: Fingerprint) -> str:
     """Name the first invariant separating the fingerprints.
 
     Returns "distinguished by <label> (<a> vs <b>)" or "inconclusive".
     Series entries are labelled dim L{i} / dim D{i} with superscript
     indices; an undetermined nilradical on either side is skipped.
     """
-    checks = [(dim_label, fp1.dim, fp2.dim)]
+    checks = [("dim", fp1.dim, fp2.dim)]
     for idx, (a, b) in enumerate(_padded(fp1.lower_central_dims,
                                          fp2.lower_central_dims), start=1):
         checks.append((f"dim L{_sup(idx)}", a, b))

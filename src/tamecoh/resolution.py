@@ -31,6 +31,10 @@ import numpy as np
 from .algebra import Algebra, AlgebraError
 from .field import Subspace, kernel_space, kron, matmul, rank
 
+# algebras up to this dimension also get exactness checked on the full
+# bimodule matrices, whose size grows as dim(A)^2 per summand
+FULL_EXACTNESS_LIMIT = 30
+
 
 @dataclass(frozen=True)
 class FreeSummand:
@@ -405,14 +409,13 @@ class ResolutionSpec:
         lhs = mul(mul(lam[:, 0], sums[:, :alg.dim]), mu[:, 0])
         return int(np.count_nonzero(np.any(lhs != sums[:, alg.dim:], axis=1)))
 
-    def check_exactness(self, rng=None, full_limit: int = 30,
-                        probes: int = 1500) -> dict:
+    def check_exactness(self, rng=None, probes: int = 1500) -> dict:
         alg = self.algebra
         f = alg.field
         entries = []
         ok = True
         top = self.depth + (1 if self.periodic else 0)
-        if alg.dim <= full_limit:
+        if alg.dim <= FULL_EXACTNESS_LIMIT:
             aug = self.full_matrix_aug()
             good = rank(f, aug) == alg.dim
             ok &= good

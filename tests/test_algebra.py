@@ -175,7 +175,7 @@ def test_infinite_dimensional_detection():
     f = Field(2)
     q = Quiver(1, [("t", 0, 0)])
     with pytest.raises(AlgebraError):
-        Algebra(f, q, [], dim_guard=50)
+        Algebra(f, q, [])
 
 
 def test_rule_endpoint_validation():

@@ -15,7 +15,7 @@ from tamecoh.cohomology import (
     hh1_oracle_dims,
 )
 from tamecoh.families import make
-from tamecoh.field import Field
+from tamecoh.field import Field, matmul
 from tamecoh.resolution import standard_resolution
 
 GF2 = Field(2)
@@ -160,6 +160,25 @@ def test_class_coords_kill_coboundaries():
     for row in space.coboundaries.rows:
         assert not space.class_coords(row).any()
         assert space.same_class(row, np.zeros_like(row))
+
+
+@pytest.mark.parametrize("family,field,params", [
+    ("SD1A1", GF2, dict(k=2)),
+    ("SD2B1", GF3, dict(k=2, s=3, c=1)),
+    ("Q1A2", GF4, dict(k=2, c=2, d=3)),
+])
+def test_class_coords_of_a_stack(family, field, params):
+    space = hh(make(family, field, **params).resolution, 1)
+    rng = random.Random(3)
+    stack = matmul(field, field.rand(rng, (6, space.cocycles.dim)), space.cocycles.rows)
+    assert np.array_equal(space.class_coords(stack), [space.class_coords(v) for v in stack])
+    outside = next(e for e in np.eye(stack.shape[1], dtype=np.int64)
+                   if not space.cocycles.contains(e))
+    for r in (0, 5):
+        bent = stack.copy()
+        bent[r] = field.add(bent[r], outside)
+        with pytest.raises(AlgebraError, match="not a cocycle"):
+            space.class_coords(bent)
 
 
 def test_non_cocycle_rejected():

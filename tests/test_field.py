@@ -562,6 +562,22 @@ def test_section_splits_ambient():
             assert np.array_equal(sec.class_coords(sec.lift(c)), c)
 
 
+def test_section_class_coords_of_a_stack():
+    rng = random.Random(23)
+    for p, m in [(2, 1), (3, 1), (2, 2)]:
+        f = Field(p, m)
+        amb = Subspace(f, 8, f.rand(rng, (6, 8)))
+        vs = matmul(f, f.rand(rng, (7, amb.dim)), amb.rows)
+        for sub_dim in (0, 2, amb.dim):
+            sec = Section(f, Subspace(f, 8, amb.rows[:sub_dim]), amb)
+            rows = [sec.class_coords(v) for v in vs]
+            assert np.array_equal(sec.class_coords(vs), np.reshape(rows, (7, sec.dim)))
+            # decompose reads the whole left inverse: a second route to the coordinates
+            assert np.array_equal(sec.class_coords(vs), np.reshape(
+                [sec.decompose(v)[1] for v in vs], (7, sec.dim)))
+            assert sec.class_coords(vs[:0]).shape == (0, sec.dim)
+
+
 def test_subspace_intersect():
     f = Field(2)
     a = Subspace(f, 4, np.array([[1, 0, 0, 0], [0, 1, 0, 0]]))
@@ -587,6 +603,13 @@ def test_semilinear_kernel_zero_map():
     f = Field(2, 2)
     ker = semilinear_kernel(f, np.array([[0, 0]], dtype=np.int64), 1)
     assert ker.dim == 4  # all of GF(4)^2 expanded over GF(2)
+    # a map into the zero space has no rows; its kernel packs to the whole space
+    for p, m in [(2, 1), (2, 2), (3, 2)]:
+        f = Field(p, m)
+        for frob_power in range(m):
+            ker = semilinear_kernel(f, np.zeros((0, 3), dtype=np.int64), frob_power)
+            assert ker.dim == 3 * m
+            assert Subspace(f, 3, [pack_vector(f, r) for r in ker.rows]).dim == 3
 
 
 def test_semilinear_kernel_matches_exhaustive_search():

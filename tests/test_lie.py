@@ -4,7 +4,10 @@ Every contraction of ``LieAlgebra`` (bracket, ad, bracket_space, Killing
 form, centre, change of basis) is recomputed entry by entry from the
 structure constants with scalar field operations, on diagonal models and on
 seeded random changes of basis of HH^1 Lie algebras over GF(2), GF(3), GF(4)
-and GF(8).
+and GF(8).  The series, ideal closures, nilpotency of subalgebras and
+quotients are held to the term-by-term loops they were first written as,
+and the named-basis path of ``from_cohomology`` to its per-pair fill and to
+a change of basis of the canonical algebra.
 """
 
 import random
@@ -16,10 +19,18 @@ import pytest
 from tamecoh.algebra import AlgebraError
 from tamecoh.cohomology import hh
 from tamecoh.families import make
-from tamecoh.field import Field, Subspace, inverse, kernel_space
-from tamecoh.lie import LieAlgebra, diagonal_model, fingerprint, from_cohomology, verify_iso
+from tamecoh.field import Field, Section, Subspace, inverse, kernel_space, matvec
+from tamecoh.fixtures import fixtures_for
+from tamecoh.lie import (
+    LieAlgebra,
+    bracket,
+    diagonal_model,
+    fingerprint,
+    from_cohomology,
+    verify_iso,
+)
 
-GF2, GF3, GF4, GF8 = Field(2), Field(3), Field(2, 2), Field(2, 3)
+GF2, GF3, GF4, GF5, GF8 = Field(2), Field(3), Field(2, 2), Field(5), Field(2, 3)
 
 
 def ref_bracket(lie, u, v):
@@ -243,3 +254,185 @@ def test_zero_dimensional_lie_algebra_fingerprint():
     fp = fingerprint(lie, probes=[1])
     assert fp.derivation_dims == ((1, 0),)
     assert fp.dim == 0 and fp.nilradical_dim == 0
+
+
+# ---------------------------------------------------------------------------
+# series, ideals and quotients against the loops they were written as
+# ---------------------------------------------------------------------------
+
+
+def ref_lower_central_series(lie):
+    full = lie.full_space()
+    series = [full]
+    while series[-1].dim:
+        nxt = lie.bracket_space(series[-1], full)
+        if nxt == series[-1]:
+            break
+        series.append(nxt)
+    return series
+
+
+def ref_derived_series(lie):
+    series = [lie.full_space()]
+    while series[-1].dim:
+        nxt = lie.bracket_space(series[-1], series[-1])
+        if nxt == series[-1]:
+            break
+        series.append(nxt)
+    return series
+
+
+def ref_ideal_closure(lie, sub):
+    full = lie.full_space()
+    cur = sub
+    while True:
+        nxt = cur.sum(lie.bracket_space(full, cur))
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+def ref_subspace_nilpotent(lie, sub):
+    if not sub.contains_space(lie.bracket_space(sub, sub)):
+        raise AlgebraError("not a subalgebra")
+    term = sub
+    while term.dim:
+        nxt = lie.bracket_space(sub, term)
+        if nxt == term:
+            return False
+        term = nxt
+    return True
+
+
+def _unit(n, i):
+    e = np.zeros(n, dtype=np.int64)
+    e[i] = 1
+    return e
+
+
+def ref_quotient(lie, ideal):
+    if not lie.is_ideal(ideal):
+        raise AlgebraError("quotient requires an ideal")
+    f = lie.field
+    sec = Section(f, ideal)
+    qdim = sec.dim
+    lifts = [sec.lift(_unit(qdim, a)) for a in range(qdim)]
+    s = np.zeros((qdim, qdim, qdim), dtype=np.int64)
+    for a in range(qdim):
+        for b in range(qdim):
+            s[a, b] = sec.class_coords(lie.bracket(lifts[a], lifts[b]))
+    return LieAlgebra(f, s, check=False), sec
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except AlgebraError as exc:
+        return ("AlgebraError", str(exc))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_series_match_loops(case):
+    for lie in algebras(case, 9)[:2]:
+        lower = lie.lower_central_series()
+        assert lower == ref_lower_central_series(lie)
+        assert lie.derived_series() == ref_derived_series(lie)
+        assert fingerprint(lie).nilpotent == (lower[-1].dim == 0)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_ideal_closure_and_nilpotency_match_loops(case):
+    rng = random.Random(10)
+    for lie in algebras(case, 11)[:2]:
+        f, n = lie.field, lie.dim
+        subs = [Subspace(f, n), lie.full_space(), lie.centre()]
+        subs += [Subspace(f, n, [lie.basis_vector(i)]) for i in range(n)]
+        subs += [Subspace(f, n, f.rand(rng, (k, n))) for k in (1, 2)]
+        for sub in subs:
+            closure = lie.ideal_closure(sub)
+            assert closure == ref_ideal_closure(lie, sub)
+            # closures are ideals, hence subalgebras; the others may not be
+            for cand in (sub, closure):
+                assert outcome(lie.subspace_nilpotent, cand) == outcome(ref_subspace_nilpotent, lie, cand)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_quotient_matches_pair_loop(case):
+    for lie in algebras(case, 12)[:2]:
+        f, n = lie.field, lie.dim
+        ideals = lie.lower_central_series() + lie.derived_series() + [lie.centre()]
+        for ideal in ideals:
+            quo, sec = lie.quotient(ideal)
+            want, want_sec = ref_quotient(lie, ideal)
+            assert quo.dim == n - ideal.dim
+            assert np.array_equal(quo.structure, want.structure)
+            assert np.array_equal(sec.comp, want_sec.comp)
+        not_ideals = [s for s in (Subspace(f, n, [lie.basis_vector(i)]) for i in range(n))
+                      if not lie.is_ideal(s)]
+        for sub in not_ideals[:1]:
+            with pytest.raises(AlgebraError, match="quotient requires an ideal"):
+                lie.quotient(sub)
+
+
+# ---------------------------------------------------------------------------
+# the named basis of from_cohomology
+# ---------------------------------------------------------------------------
+
+
+NAMED = [
+    ("SD1A1", GF2, dict(k=2)),
+    ("SD1A1", GF4, dict(k=3)),
+    ("SD1A1", GF8, dict(k=2)),
+    ("SD1A2", GF2, dict(k=3, c=1, d=0)),
+    ("SD1A2", GF4, dict(k=2, c=2, d=1)),
+    ("SD1A2", GF8, dict(k=2, c=2, d=1)),
+    ("Q1A1", GF2, dict(k=3)),
+    ("Q1A1", GF4, dict(k=2)),
+    ("Q1A1", GF8, dict(k=3)),
+    ("Q1A2", GF2, dict(k=2, c=1, d=0)),
+    ("Q1A2", GF4, dict(k=3, c=0, d=2)),
+    ("Q1A2", GF8, dict(k=2, c=0, d=3)),
+    ("SD2B1", GF2, dict(k=2, s=3, c=1)),
+    ("SD2B1", GF4, dict(k=3, s=2, c=2)),
+    ("SD2B1", GF8, dict(k=2, s=2, c=1)),
+    ("SD2B1", GF3, dict(k=2, s=3, c=1)),
+    ("SD2B1", GF5, dict(k=3, s=2, c=2)),
+    ("SD2B2", GF2, dict(k=2, s=3, c=1)),
+    ("SD2B2", GF4, dict(k=3, s=3, c=3)),
+    ("SD2B2", GF8, dict(k=2, s=2, c=2)),
+    ("SD2B2", GF3, dict(k=2, s=2, c=2)),
+    ("SD2B2", GF5, dict(k=3, s=3, c=3)),
+]
+
+
+def ref_named_structure(space, fix):
+    """The per-pair fill of the named basis: P^-1 times the canonical class
+    coordinates of each bracket, P holding the named classes as columns."""
+    f = space.algebra.field
+    n = space.dim
+    reps = [fix.vec(nm) for nm in fix.basis]
+    p_mat = np.zeros((n, n), dtype=np.int64)
+    for j, vec in enumerate(reps):
+        p_mat[:, j] = space.class_coords(vec)
+    p_inv = inverse(f, p_mat)
+    s = np.zeros((n, n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            val = matvec(f, p_inv, space.class_coords(bracket(space.resolution, reps[i], reps[j])))
+            s[i, j] = val
+            s[j, i] = f.neg(val)
+    return s
+
+
+@pytest.mark.parametrize("family,field,params", NAMED,
+                         ids=[f"{fam}/GF({fd.q})" for fam, fd, _ in NAMED])
+def test_named_basis_matches_pair_loop_and_change_of_basis(family, field, params):
+    inst = make(family, field, **params)
+    space = hh(inst.resolution, 1)
+    fix = fixtures_for(inst)
+    named = from_cohomology(space, fix)
+    assert named.names == tuple(fix.basis)
+    assert np.array_equal(named.structure, ref_named_structure(space, fix))
+    # the named classes, in canonical coordinates, as the columns of P
+    p_mat = np.array([space.class_coords(fix.vec(nm)) for nm in fix.basis]).T
+    assert np.array_equal(named.structure, from_cohomology(space).conjugate(p_mat).structure)
