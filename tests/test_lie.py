@@ -7,9 +7,12 @@ seeded random changes of basis of HH^1 Lie algebras over GF(2), GF(3), GF(4)
 and GF(8).  The series, ideal closures, nilpotency of subalgebras and
 quotients are held to the term-by-term loops they were first written as,
 and the named-basis path of ``from_cohomology`` to its per-pair fill and to
-a change of basis of the canonical algebra.
+a change of basis of the canonical algebra.  The Leibniz builder is held to
+its block-by-block Kronecker loop, the derivation probes to a brute force
+over every rho, and the second-derived weights to L/D^2 of HH^1.
 """
 
+import itertools
 import random
 import re
 
@@ -17,20 +20,23 @@ import numpy as np
 import pytest
 
 from tamecoh.algebra import AlgebraError
-from tamecoh.cohomology import hh
+from tamecoh.cohomology import derivation_system, hh
 from tamecoh.families import make
 from tamecoh.field import Field, Section, Subspace, inverse, kernel_space, matvec
 from tamecoh.fixtures import fixtures_for
 from tamecoh.lie import (
     LieAlgebra,
     bracket,
+    derivation_probes,
     diagonal_model,
     fingerprint,
     from_cohomology,
+    second_derived_weights,
     verify_iso,
 )
 
 GF2, GF3, GF4, GF5, GF8 = Field(2), Field(3), Field(2, 2), Field(5), Field(2, 3)
+GF7, GF9 = Field(7), Field(3, 2)
 
 
 def ref_bracket(lie, u, v):
@@ -237,23 +243,90 @@ def ref_derivation_system(lie, lam, mu, nu):
 def test_derivation_system_matches_block_loop(case):
     lie, conj, _ = algebras(case, 13)
     f = lie.field
-    rng = random.Random(5)
-    weights = [(1, 1, 1), (0, 1, 1), (1, 0, 0)] + [
-        tuple(rng.randrange(f.q) for _ in range(3)) for _ in range(2)]
     for alg in (lie, conj):
-        for lam, mu, nu in weights:
-            if lam == mu == nu == 0:
-                continue
-            system = alg._derivation_system(lam, mu, nu)
-            assert np.array_equal(system, ref_derivation_system(alg, lam, mu, nu))
+        pairs = np.triu_indices(alg.dim, 1)
+        for rho in f.elements():
+            ref = kernel_space(f, ref_derivation_system(alg, rho, 1, 1))
+            assert kernel_space(f, derivation_system(f, alg.structure, pairs, rho)) == ref
+            assert alg.derivation_dim(rho) == ref.dim
+
+
+def ref_row_can_be_nonzero(table, i, j, r):
+    """Whether one of the three Leibniz terms of row (i, j, r) has a nonzero
+    structure constant: b_i b_j, the r-th coordinates of the b_x b_j, or
+    those of the b_i b_x."""
+    return bool(table[i, j].any() or table[:, j, r].any() or table[i, :, r].any())
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_derivation_system_keeps_exactly_the_rows_that_can_be_nonzero(case):
+    lie, conj, _ = algebras(case, 17)
+    f = lie.field
+    rng = random.Random(3)
+    for alg in (lie, conj):
+        n = alg.dim
+        lam = rng.randrange(f.q)
+        full = ref_derivation_system(alg, lam, 1, 1).reshape(n, n, n, n * n)
+        mask = np.array([ref_row_can_be_nonzero(alg.structure, *idx)
+                         for idx in np.ndindex(n, n, n)], dtype=bool).reshape(n, n, n)
+        pairs = tuple(a.ravel() for a in np.indices((n, n)))
+        assert np.array_equal(derivation_system(f, alg.structure, pairs, lam), full[mask])
+        assert not full[~mask].any()
 
 
 def test_zero_dimensional_lie_algebra_fingerprint():
     lie = LieAlgebra(GF2, np.zeros((0, 0, 0), dtype=np.int64))
-    assert lie.gen_derivations(1, 1, 1) == Subspace(GF2, 0)
+    assert lie.derivation_dim(1) == 0
     fp = fingerprint(lie, probes=[1])
     assert fp.derivation_dims == ((1, 0),)
     assert fp.dim == 0 and fp.nilradical_dim == 0
+
+
+# ---------------------------------------------------------------------------
+# derivation probes and second-derived weights
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", [GF5, GF7, GF4, GF8, GF9], ids=str)
+def test_derivation_probes_find_every_disagreement_of_diagonal_models(field):
+    """Every diagonal model on at most three weights, up to order: its
+    (rho,1,1)-derivation count takes one value over the nonzero rho that
+    are not a ratio of two of its nonzero weights, and any two models that
+    differ at some nonzero rho differ at one of their probes."""
+    nonzero = range(1, field.q)
+    models = [nus for r in (1, 2, 3)
+              for nus in itertools.combinations_with_replacement(field.elements(), r)]
+    dims = {}
+    for nus in models:
+        lie = diagonal_model(field, nus)
+        dims[nus] = [lie.derivation_dim(rho) for rho in nonzero]
+        ratios = {field.mul(b, field.inv(a)) for a in nus if a for b in nus if b}
+        assert len({d for rho, d in zip(nonzero, dims[nus]) if rho not in ratios}) <= 1
+    for a, b in itertools.combinations(models, 2):
+        probes = derivation_probes(field, a, b)
+        assert all(type(rho) is int for rho in probes)
+        if dims[a] != dims[b]:
+            assert any(dims[a][rho - 1] != dims[b][rho - 1] for rho in probes), (a, b)
+
+
+@pytest.mark.parametrize("field", [GF5, GF7], ids=str)
+@pytest.mark.parametrize("k,s", [(3, 4), (4, 3), (3, 5)])
+def test_second_derived_weights_model_the_quotient_by_d2(field, k, s):
+    """L/D^2, with L = HH^1 and D^2 = [D^1, D^1], has the fingerprint of the
+    diagonal model on the second weights for SD2B1 and on the first for
+    SD2B2, at every nonzero rho; the two models differ."""
+    rhos = list(range(1, field.q))
+    models = [fingerprint(diagonal_model(field, w), rhos) for w in second_derived_weights(field, k, s)]
+    assert models[0] != models[1]
+    for family, model in (("SD2B2", models[0]), ("SD2B1", models[1])):
+        lie = hh1_algebra(family, field, k=k, s=s, c=0)
+        quotient, _ = lie.quotient(lie.derived_series()[2])
+        assert fingerprint(quotient, rhos) == model
+
+
+def test_second_derived_weights_need_three_invertible():
+    with pytest.raises(AlgebraError, match="3 invertible"):
+        second_derived_weights(GF3, 3, 4)
 
 
 # ---------------------------------------------------------------------------
