@@ -330,6 +330,12 @@ class Algebra:
     def idempotent(self, vert: int) -> np.ndarray:
         return self.basis_vector(self.index[self.quiver.idempotent_word(vert)])
 
+    def window(self, source: int | None, target: int | None) -> list[int]:
+        """Basis indices of e_source A e_target, in basis order; ``None``
+        leaves that end free."""
+        return [i for i, w in enumerate(self.basis)
+                if source in (None, w.source) and target in (None, w.target)]
+
     def element(self, terms) -> np.ndarray:
         """Vector of a linear combination of paths, reducing where needed.
 

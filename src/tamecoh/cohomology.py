@@ -10,17 +10,19 @@ solves the Leibniz system directly on the multiplication table, with no
 reference to the resolution, and compares dimensions.  One builder,
 ``derivation_system``, writes that system for any bilinear product given by
 structure constants; the Lie layer uses it for (rho, 1, 1)-derivations.
-Degree-one cochains become derivation matrices through the derivation
-operator, a (hom_1, n, n) stack read off the table: one matmul maps any
-stack of cochains.
+Degree-one cochains become derivation matrices by recursion on word
+length, D(a w') = D(a) w' + a D(w'), in stacked products over any stack of
+cochains.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .algebra import Algebra, AlgebraError, PathWord
-from .field import Field, Section, Subspace, image_basis, kernel_space, matmul
+from .algebra import Algebra, AlgebraError
+from .field import Field, Section, Subspace, image_basis, kernel_space
 from .resolution import ResolutionSpec
 
 
@@ -146,41 +148,30 @@ def inner_derivation_space(alg: Algebra) -> Subspace:
     return image_basis(alg.field, alg.ad_matrix())
 
 
-def _arrow_windows(alg: Algebra) -> list:
-    """Per arrow, the basis indices of e_source A e_target, in basis order."""
-    return [[i for i, w in enumerate(alg.basis) if (w.source, w.target) == (a.source, a.target)]
-            for a in alg.quiver.arrows]
+def _derivations(alg: Algebra, values) -> np.ndarray:
+    """Matrices (..., n, n) of the derivations with arrow values (..., arrows, n).
 
-
-def derivation_operator(alg: Algebra) -> np.ndarray:
-    """The stack X of shape (hom_1, n, n) with X[c] the derivation whose arrow
-    values are the unit at arrow-window coordinate c.
-
-    A derivation with given arrow values sends a basis word to the sum over
-    its arrow positions of (prefix) value (suffix), and idempotents to zero.
-    The basis is the set of irreducible words, so every prefix and suffix of
-    a basis word is a basis word: the (word, position) term adds
-    ``table[prefix][window] @ table[:, suffix, :]`` to the word's column.
+    Idempotents go to zero and a basis word w = a w' to D(a) w' + a D(w').
+    The basis is closed under prefixes and suffixes and sorted by length, so
+    one pass over the lengths fills each word's column from shorter ones:
+    two stacked products per length.
     """
-    f, t, n = alg.field, alg.table, alg.dim
-    arrows = alg.quiver.arrows
-    windows = _arrow_windows(alg)
-    start = np.cumsum([0, *map(len, windows)])
-    op = np.zeros((start[-1], n, n), dtype=np.int64)
+    f, n, q = alg.field, alg.dim, alg.quiver
+    values = np.asarray(values, dtype=np.int64)
+    eye = np.eye(n, dtype=np.int64)
+    rows = np.zeros((*values.shape[:-2], n, n), dtype=np.int64)   # row i is D(b_i)
+    # per word w = a w': its length, its index, a, and the indices of a and w'
+    steps = []
     for i, w in enumerate(alg.basis):
-        for pos, a in enumerate(w.arrows):
-            pre = alg.index[PathWord(w.arrows[:pos], w.source, arrows[a].source)]
-            post = alg.index[PathWord(w.arrows[pos + 1:], arrows[a].target, w.target)]
-            col = op[start[a]:start[a + 1], :, i]
-            col[...] = f.add(col, matmul(f, t[pre][windows[a]], t[:, post, :]))
-    return op
-
-
-def _derivations(alg: Algebra, coords) -> np.ndarray:
-    """Derivation matrices of arrow-window coordinate vectors, one per row."""
-    op = derivation_operator(alg)
-    out = matmul(alg.field, coords, op.reshape(len(op), alg.dim ** 2))
-    return out.reshape(*np.shape(coords)[:-1], alg.dim, alg.dim)
+        if w.arrows:
+            a, tail = w.arrows[0], w.arrows[1:]
+            steps.append((len(w), i, a, alg.index[q.word_from_indices((a,))],
+                          alg.index[q.word_from_indices(tail, source=q.arrows[a].target)]))
+    for _, group in itertools.groupby(steps, key=lambda step: step[0]):
+        _, words, first, arrow, rest = map(list, zip(*group))
+        rows[..., words, :] = f.add(alg.multiply(values[..., first, :], eye[rest]),
+                                    alg.multiply(eye[arrow], rows[..., rest, :]))
+    return rows.swapaxes(-1, -2)
 
 
 def derivation_from_arrow_values(alg: Algebra, values) -> np.ndarray:
@@ -190,23 +181,23 @@ def derivation_from_arrow_values(alg: Algebra, values) -> np.ndarray:
     vertex window.  Column i is the image of basis element i.
     """
     q = alg.quiver
-    vals = [np.asarray(v, dtype=np.int64) for v in values]
-    if len(vals) != len(q.arrows):
+    values = np.asarray(values, dtype=np.int64)
+    if len(values) != len(q.arrows):
         raise AlgebraError("need one value per arrow")
-    windows = _arrow_windows(alg)
-    for a, v, win in zip(q.arrows, vals, windows):
-        if np.any(np.delete(v, win)):
+    for a, v in zip(q.arrows, values):
+        if np.any(np.delete(v, alg.window(a.source, a.target))):
             raise AlgebraError(f"value for arrow {a.name} leaves its vertex window")
-    return _derivations(alg, np.concatenate([v[win] for v, win in zip(vals, windows)]))
+    return _derivations(alg, values)
 
 
 def cochain_derivation(resolution: ResolutionSpec, vecs) -> np.ndarray:
     """Derivation matrix attached to a degree-1 cocycle vector, or one matrix
     per row of a stack of them."""
     alg = resolution.algebra
-    if resolution.cochain_coords(1) != _arrow_windows(alg):
+    if ([(s.left, s.right) for s in resolution.summands_at(1)]
+            != [(a.source, a.target) for a in alg.quiver.arrows]):
         raise AlgebraError("degree-one summands are not the arrow windows")
-    return _derivations(alg, vecs)
+    return _derivations(alg, resolution.unpack_cochain(1, vecs))
 
 
 def check_hh1_against_derivations(resolution: ResolutionSpec) -> dict:

@@ -640,7 +640,7 @@ def normalize_sd_local(field: Field, k: int, c: int, d: int):
 
 
 # ---------------------------------------------------------------------------
-# DSL emission, for audit and round-trip parsing
+# DSL emission, for audit
 
 
 def _emit_word(letters: str) -> str:

@@ -1,10 +1,11 @@
 """Lie structure on first cohomology and invariants that separate algebras.
 
 The bracket of two degree-one cocycles is computed on arrow values: a
-cocycle f extends to the derivation D_f that replaces one arrow occurrence
-at a time by f(arrow), and [f, g] is D_f on the values of g minus D_g on
-the values of f.  On classes this is the Gerstenhaber bracket, and the result of pairing a chosen basis of
-classes is a finite-dimensional Lie algebra over the ground field.
+cocycle f extends to the derivation D_f with D_f(a w) = f(a) w + a D_f(w),
+and [f, g] is D_f on the values of g minus D_g on the values of f.  On
+classes this is the Gerstenhaber bracket, and the result of pairing a
+chosen basis of classes is a finite-dimensional Lie algebra over the ground
+field.
 
 ``from_cohomology`` takes every pair of basis cochains through one bracket
 table and reads all the class coordinates off one stacked section product,
@@ -52,9 +53,9 @@ def _sup(n: int) -> str:
 def _bracket_table(resolution: ResolutionSpec, cochains, check: bool) -> np.ndarray:
     """[c_i, c_j] for every pair of a list of degree-one cocycles.
 
-    On arrow j, [u, v] is D_u(v_j) - D_v(u_j) with D_u the derivation matrix
-    of u and v_j the value of v on arrow j.  D_u keeps every arrow window, so
-    on cochain coordinates it acts by its restriction to each window.
+    On arrow a, [u, v] is D_u(v_a) - D_v(u_a), with D_u the derivation
+    matrix of u and v_a the value of v on a: the packed images D_i(c_j),
+    minus their transpose.
     """
     f = resolution.algebra.field
     k, h = len(cochains), resolution.hom_dim(1)
@@ -63,13 +64,12 @@ def _bracket_table(resolution: ResolutionSpec, cochains, check: bool) -> np.ndar
         m2 = resolution.induced_matrix(2)
         if np.any(matmul(f, m2, cochains.T)):
             raise AlgebraError("not a cocycle")
-    coords = resolution.cochain_coords(1)
-    idx = np.array([i for block in coords for i in block], dtype=np.int64)
-    arrow = np.repeat(np.arange(len(coords)), [len(block) for block in coords])
+    values = resolution.unpack_cochain(1, cochains)
     derivs = cochain_derivation(resolution, cochains)
-    acts = derivs[:, idx[:, None], idx] * (arrow[:, None] == arrow)
-    images = matmul(f, acts, cochains.T)     # [i, :, j] = D_i applied to c_j
-    table = f.sub(images.transpose(0, 2, 1), images.transpose(2, 0, 1))
+    # [i, j, a] = D_i applied to the value of c_j on arrow a
+    applied = matmul(f, values.reshape(1, -1, values.shape[-1]), derivs.swapaxes(1, 2))
+    images = resolution.pack_cochain(1, applied.reshape(k, *values.shape))
+    table = f.sub(images, images.swapaxes(0, 1))
     if check and np.any(matmul(f, m2, table.reshape(k * k, h).T)):
         raise AlgebraError("bracket of cocycles failed to be a cocycle")
     return table
@@ -113,37 +113,11 @@ class LieAlgebra:
         if check:
             self._check_axioms()
 
-    # ---- construction helpers ----
-
-    @classmethod
-    def from_entries(cls, field: Field, dim: int, entries, names=None,
-                     check: bool = True) -> "LieAlgebra":
-        """Build from sparse entries [i, j, k, coeff] meaning [e_i,e_j] has
-        coefficient coeff on e_k."""
-        s = np.zeros((dim, dim, dim), dtype=np.int64)
-        for i, j, k, coeff in entries:
-            s[int(i), int(j), int(k)] = int(coeff)
-        return cls(field, s, names=names, check=check)
-
     def to_entries(self) -> list:
         out = []
         for i, j, k in zip(*np.nonzero(self.structure)):
             out.append([int(i), int(j), int(k), int(self.structure[i, j, k])])
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "field": {"p": self.field.p, "m": self.field.m},
-            "entries": self.to_entries(),
-            "names": list(self.names) if self.names is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict, check: bool = True) -> "LieAlgebra":
-        f = Field(int(data["field"]["p"]), int(data["field"]["m"]))
-        return cls.from_entries(f, int(data["dim"]), data["entries"],
-                                names=data.get("names"), check=check)
 
     # ---- the bracket and adjoint maps ----
 

@@ -65,15 +65,6 @@ class TensorExpr:
         return len(self.terms)
 
 
-def _ends_at(alg: Algebra, vertex: int):
-    """Indices of basis words in A*e_vertex (paths ending at the vertex)."""
-    return [i for i, w in enumerate(alg.basis) if w.target == vertex]
-
-
-def _starts_at(alg: Algebra, vertex: int):
-    return [i for i, w in enumerate(alg.basis) if w.source == vertex]
-
-
 def _assemble(field, row_sizes, col_sizes, blocks) -> np.ndarray:
     """Sum of (row block, column block, matrix) contributions in one matrix."""
     roff = np.cumsum([0, *row_sizes])
@@ -196,42 +187,34 @@ class ResolutionSpec:
         """Per summand, the basis indices of e_left A e_right."""
         d = self._fold(degree)
         if d not in self._cochain_cache:
-            alg = self.algebra
-            blocks = []
-            for s in self.summands[d]:
-                blocks.append(
-                    [i for i, w in enumerate(alg.basis)
-                     if w.source == s.left and w.target == s.right]
-                )
-            self._cochain_cache[d] = blocks
+            self._cochain_cache[d] = [self.algebra.window(s.left, s.right)
+                                      for s in self.summands[d]]
         return self._cochain_cache[d]
 
     def hom_dim(self, degree: int) -> int:
         return sum(len(b) for b in self.cochain_coords(degree))
 
-    def unpack_cochain(self, degree: int, vec):
-        """Split a coordinate vector into one algebra element per summand."""
+    def _slots(self, degree: int):
+        """The summand and the basis index of each cochain coordinate."""
         blocks = self.cochain_coords(degree)
-        alg = self.algebra
-        out = []
-        pos = 0
-        for block in blocks:
-            v = alg.zero()
-            for idx in block:
-                v[idx] = vec[pos]
-                pos += 1
-            out.append(v)
+        return (np.repeat(np.arange(len(blocks)), list(map(len, blocks))),
+                np.array([i for block in blocks for i in block], dtype=np.int64))
+
+    def unpack_cochain(self, degree: int, vecs) -> np.ndarray:
+        """Coordinate vectors of shape (..., hom_dim) as summand values of
+        shape (..., summands, n), one algebra element per summand."""
+        summand, idx = self._slots(degree)
+        vecs = np.asarray(vecs, dtype=np.int64)
+        out = np.zeros((*vecs.shape[:-1], len(self.summands_at(degree)), self.algebra.dim),
+                       dtype=np.int64)
+        out[..., summand, idx] = vecs
         return out
 
-    def pack_cochain(self, degree: int, values):
-        blocks = self.cochain_coords(degree)
-        out = np.zeros(self.hom_dim(degree), dtype=np.int64)
-        pos = 0
-        for block, v in zip(blocks, values):
-            for idx in block:
-                out[pos] = v[idx]
-                pos += 1
-        return out
+    def pack_cochain(self, degree: int, values) -> np.ndarray:
+        """Summand values of shape (..., summands, n) as coordinate vectors
+        (..., hom_dim); entries outside the windows are dropped."""
+        summand, idx = self._slots(degree)
+        return np.asarray(values, dtype=np.int64)[..., summand, idx]
 
     def induced_matrix(self, degree: int) -> np.ndarray:
         """Matrix of ?.d^degree from cochains of degree-1 to cochains of degree.
@@ -343,10 +326,8 @@ class ResolutionSpec:
 
     def _bimodule_pairs(self, degree: int):
         alg = self.algebra
-        out = []
-        for s in self.summands_at(degree):
-            out.append((_ends_at(alg, s.left), _starts_at(alg, s.right)))
-        return out
+        return [(alg.window(None, s.left), alg.window(s.right, None))
+                for s in self.summands_at(degree)]
 
     def full_matrix(self, degree: int) -> np.ndarray:
         """The differential as a matrix on the underlying vector spaces."""
@@ -379,9 +360,9 @@ class ResolutionSpec:
         alg = self.algebra
         f = alg.field
         e_v = alg.index[alg.quiver.idempotent_word(vertex)]
-        cod = {i: _starts_at(alg, s.right)
+        cod = {i: alg.window(s.right, None)
                for i, s in enumerate(self.summands_at(degree - 1)) if s.left == vertex}
-        dom = {i: _starts_at(alg, s.right)
+        dom = {i: alg.window(s.right, None)
                for i, s in enumerate(self.summands_at(degree)) if s.left == vertex}
         row_pos = {s: pos for pos, s in enumerate(cod)}
         blocks = (
@@ -439,7 +420,7 @@ class ResolutionSpec:
         # induced one-sided complexes, any size
         for v in range(alg.quiver.n_vertices):
             mats = {d: self.one_sided_matrix(v, d) for d in range(1, top + 1)}
-            p0 = len(_starts_at(alg, v))
+            p0 = len(alg.window(v, None))
             good = rank(f, mats[1]) == p0 - 1
             ok &= good
             entries.append((f"one-sided complex at vertex {v}: im d1 = rad", good, ""))

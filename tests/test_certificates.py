@@ -27,9 +27,9 @@ from tamecoh.families import make
 from tamecoh.field import Field, Subspace, image_basis, kernel_space, kron, matmul, matvec, rank
 from tamecoh.fixtures import FIXTURE_FAMILIES, fixtures_for
 from tamecoh.lie import bracket, check_bracket_table, from_cohomology
-from tamecoh.resolution import ResolutionSpec, TensorExpr, _starts_at
+from tamecoh.resolution import ResolutionSpec, TensorExpr
 
-GF2, GF3, GF4, GF8 = Field(2), Field(3), Field(2, 2), Field(2, 3)
+GF2, GF3, GF4, GF8, GF9 = Field(2), Field(3), Field(2, 2), Field(2, 3), Field(3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +160,7 @@ def ref_check_exactness(res, rng, probes, full_limit=30):
     for v in range(alg.quiver.n_vertices):
         mats = {d: res.one_sided_matrix(v, d) for d in range(1, top + 1)}
         entries.append((f"one-sided complex at vertex {v}: im d1 = rad",
-                        rank(f, mats[1]) == len(_starts_at(alg, v)) - 1, ""))
+                        rank(f, mats[1]) == len(alg.window(v, None)) - 1, ""))
         for d in range(1, top):
             a, b = mats[d], mats[d + 1]
             prod_zero = not matmul(f, a, b).any() if a.size and b.size else True
@@ -422,6 +422,9 @@ DERIVATION_CASES = [
     ("SD2B1", GF3, dict(k=2, s=2, c=0)),
     ("Q1A2", GF4, dict(k=2, c=2, d=3)),
     ("SD1A2", GF8, dict(k=2, c=2, d=1)),
+    ("Q2B1", GF3, dict(k=2, s=3, a=1, c=0)),
+    ("SD2B2", GF2, dict(k=2, s=2, c=1)),
+    ("SD2B1", GF9, dict(k=2, s=2, c=0)),
 ]
 
 
@@ -443,6 +446,19 @@ def test_cochain_derivation_matches_per_position_loop(family, field, params):
         assert np.array_equal(
             derivation_from_arrow_values(alg, res.unpack_cochain(1, vec)), want)
     assert cochain_derivation(res, stack[:0]).shape == (0, alg.dim, alg.dim)
+    grid = stack[:6].reshape(2, 3, -1)
+    assert np.array_equal(cochain_derivation(res, grid), mats[:6].reshape(2, 3, alg.dim, alg.dim))
+
+
+def test_cochain_derivation_needs_arrow_summands_in_arrow_order():
+    res = make("SD2B1", GF3, k=2, s=2, c=0).resolution
+    swapped = ResolutionSpec(res.algebra, [res.summands[0], res.summands[1][::-1]],
+                             res.diffs[:2])
+    with pytest.raises(AlgebraError, match="not the arrow windows"):
+        cochain_derivation(swapped, np.zeros(swapped.hom_dim(1), dtype=np.int64))
+    with pytest.raises(AlgebraError, match="one value per arrow"):
+        derivation_from_arrow_values(res.algebra, res.unpack_cochain(1, np.zeros(
+            res.hom_dim(1), dtype=np.int64))[1:])
 
 
 @pytest.mark.parametrize("family,field,params", DERIVATION_CASES)

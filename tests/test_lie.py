@@ -9,7 +9,10 @@ quotients are held to the term-by-term loops they were first written as,
 and the named-basis path of ``from_cohomology`` to its per-pair fill and to
 a change of basis of the canonical algebra.  The Leibniz builder is held to
 its block-by-block Kronecker loop, the derivation probes to a brute force
-over every rho, and the second-derived weights to L/D^2 of HH^1.
+over every rho, and the second-derived weights to L/D^2 of HH^1.  The
+nilradical is held to a brute force over every subspace, on every Lie
+algebra of dimension at most 3 over GF(2) and 2 over GF(3) and GF(4), on a
+sample at dimension 3 over GF(3), and on random conjugates of them.
 """
 
 import itertools
@@ -22,7 +25,7 @@ import pytest
 from tamecoh.algebra import AlgebraError
 from tamecoh.cohomology import derivation_system, hh
 from tamecoh.families import make
-from tamecoh.field import Field, Section, Subspace, inverse, kernel_space, matvec
+from tamecoh.field import Field, Section, Subspace, inverse, kernel_space, matmul, matvec
 from tamecoh.fixtures import fixtures_for
 from tamecoh.lie import (
     LieAlgebra,
@@ -445,6 +448,75 @@ def test_quotient_matches_pair_loop(case):
         for sub in not_ideals[:1]:
             with pytest.raises(AlgebraError, match="quotient requires an ideal"):
                 lie.quotient(sub)
+
+
+# ---------------------------------------------------------------------------
+# the nilradical against every subspace of every small Lie algebra
+# ---------------------------------------------------------------------------
+
+
+def all_lie_algebras(field, n):
+    """Every alternating tensor on F^n that passes the Jacobi check."""
+    pairs = list(itertools.combinations(range(n), 2))
+    out = []
+    for coeffs in itertools.product(range(field.q), repeat=n * len(pairs)):
+        s = np.zeros((n, n, n), dtype=np.int64)
+        for (i, j), vec in zip(pairs, np.reshape(coeffs, (len(pairs), n))):
+            s[i, j], s[j, i] = vec, field.neg(vec)
+        try:
+            out.append(LieAlgebra(field, s))
+        except AlgebraError:
+            pass
+    return out
+
+
+def all_subspaces(field, n):
+    """Every subspace of F^n, once each: reduced echelon forms by pivots."""
+    for r in range(n + 1):
+        for pivots in itertools.combinations(range(n), r):
+            free = [(i, j) for i in range(r) for j in range(pivots[i] + 1, n) if j not in pivots]
+            for vals in itertools.product(range(field.q), repeat=len(free)):
+                rows = np.zeros((r, n), dtype=np.int64)
+                rows[range(r), pivots] = 1
+                for (i, j), v in zip(free, vals):
+                    rows[i, j] = v
+                yield Subspace(field, n, rows)
+
+
+def ref_nilradical(lie, subspaces):
+    """The largest nilpotent ideal, by brute force over all subspaces."""
+    nil = [sub for sub in subspaces
+           if ref_ideal_closure(lie, sub) == sub and ref_subspace_nilpotent(lie, sub)]
+    top = max(sub.dim for sub in nil)
+    (largest,) = [sub for sub in nil if sub.dim == top]
+    assert all(largest.contains_space(sub) for sub in nil)
+    return largest
+
+
+# GF(3) at dim 3 has 1,431 Lie algebras; the whole sweep takes about seven
+# times as long as this seeded sample (None runs all of them)
+NILRADICAL_SWEEPS = [(GF2, 1, None), (GF2, 2, None), (GF2, 3, None),
+                     (GF3, 2, None), (GF4, 2, None), (GF3, 3, 150)]
+
+
+@pytest.mark.parametrize("field,n,sample", NILRADICAL_SWEEPS,
+                         ids=[f"GF({f.q})^{n}" for f, n, _ in NILRADICAL_SWEEPS])
+def test_nilradical_matches_brute_force_over_subspaces(field, n, sample):
+    """On every Lie algebra of the sweep the nilradical is the largest
+    nilpotent ideal among all subspaces, and on a seeded random conjugate of
+    each it is that ideal in the new coordinates."""
+    rng = random.Random(13)
+    lies = all_lie_algebras(field, n)
+    if sample is not None:
+        lies = rng.sample(lies, sample)
+    subspaces = list(all_subspaces(field, n))
+    for lie in lies:
+        want = ref_nilradical(lie, subspaces)
+        assert lie.nilradical() == want
+        # coordinates in the basis of columns of mat are mat^-1 times the old
+        mat = random_invertible(field, n, rng)
+        assert lie.conjugate(mat).nilradical() == Subspace(
+            field, n, matmul(field, want.rows, inverse(field, mat).T))
 
 
 # ---------------------------------------------------------------------------

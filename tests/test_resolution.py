@@ -124,6 +124,14 @@ def test_pack_unpack_roundtrip():
         vec = GF2.rand(rng, res.hom_dim(degree))
         values = res.unpack_cochain(degree, vec)
         assert np.array_equal(res.pack_cochain(degree, values), vec)
+        # stacks of any leading shape, the empty one included
+        for shape in ((2, 3), (0,)):
+            vecs = GF2.rand(rng, (*shape, res.hom_dim(degree)))
+            values = res.unpack_cochain(degree, vecs)
+            assert values.shape == (*shape, len(res.summands_at(degree)), inst.algebra.dim)
+            assert np.array_equal(res.pack_cochain(degree, values), vecs)
+            for index in np.ndindex(*shape):
+                assert np.array_equal(values[index], res.unpack_cochain(degree, vecs[index]))
 
 
 def test_hom_dims_for_local_family():
