@@ -23,8 +23,10 @@ from .field import (
     Field,
     Section,
     Subspace,
+    join,
     kernel_space,
     matmul,
+    nonzero_sums,
     pack_vector,
     rank,
     semilinear_kernel,
@@ -520,19 +522,15 @@ class Algebra:
         n = self.dim
         x, y, z = np.nonzero(self.table)
         c = self.table[x, y, z]
-        first, then = _join(z, x)
+        first, then = join(z, x)
         left = ((x[first] * n + y[first]) * n + y[then]) * n + z[then]
         left_c = f.mul(c[first], c[then])
-        first, then = _join(z, y)
+        first, then = join(z, y)
         right = ((x[then] * n + x[first]) * n + y[first]) * n + z[then]
         right_c = f.neg(f.mul(c[first], c[then]))
-        keys, group = np.unique(np.concatenate([left, right]), return_inverse=True)
-        # a sum of codes is the sum of their GF(p) digits mod p
-        sums = np.zeros((len(keys), f.m), dtype=np.int64)
-        np.add.at(sums, group, f._digits[np.concatenate([left_c, right_c])])
-        bad = np.flatnonzero((sums % f.p).any(axis=1))
+        bad = nonzero_sums(f, np.concatenate([left, right]), np.concatenate([left_c, right_c]))
         if len(bad):
-            i, j, k = (int(v) for v in np.unravel_index(keys[bad[0]] // n, (n, n, n)))
+            i, j, k = (int(v) for v in np.unravel_index(bad[0] // n, (n, n, n)))
             raise AlgebraError(f"associativity fails at basis triple ({i}, {j}, {k})")
 
     def format_element(self, vec) -> str:
@@ -551,11 +549,3 @@ class Algebra:
         label = self.name or "Algebra"
         return f"{label}(dim={self.dim}, {self.field})"
 
-
-def _join(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Every index pair (s, t) with a[s] == b[t]."""
-    order = np.argsort(b, kind="stable")
-    lo = np.searchsorted(b[order], a, "left")
-    counts = np.searchsorted(b[order], a, "right") - lo
-    s = np.repeat(np.arange(len(a)), counts)
-    return s, order[lo[s] + np.arange(len(s)) - (np.cumsum(counts) - counts)[s]]

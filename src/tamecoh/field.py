@@ -366,6 +366,36 @@ def matmul(field: Field, a, b) -> np.ndarray:
     return field._pow_p @ prod.reshape(*prod.shape[:-2], r, m, c)
 
 
+def join(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (s, t) with a[s] == b[t]."""
+    order = np.argsort(b, kind="stable")
+    lo = np.searchsorted(b[order], a, "left")
+    counts = np.searchsorted(b[order], a, "right") - lo
+    s = np.repeat(np.arange(len(a)), counts)
+    return s, order[lo[s] + np.arange(len(s)) - (np.cumsum(counts) - counts)[s]]
+
+
+def nonzero_sums(field: Field, keys, codes) -> np.ndarray:
+    """The sorted distinct keys whose codes sum to a nonzero element."""
+    uniq, group = np.unique(keys, return_inverse=True)
+    # a sum of codes is the sum of their GF(p) digits mod p
+    sums = np.zeros((len(uniq), field.m), dtype=np.int64)
+    np.add.at(sums, group, field._digits[codes])
+    return uniq[(sums % field.p).any(axis=1)]
+
+
+def product_vanishes(field: Field, a, b) -> bool:
+    """Whether a @ b is zero, from the terms a[i, k] b[k, j] of the nonzero
+    entries alone; no dense product is formed."""
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
+    i, k = np.nonzero(a)
+    l, j = np.nonzero(b)
+    s, t = join(k, l)
+    codes = field.mul(a[i[s], k[s]], b[l[t], j[t]])
+    return not len(nonzero_sums(field, i[s] * b.shape[1] + j[t], codes))
+
+
 def kron(field: Field, a, b) -> np.ndarray:
     """Kronecker product with entries multiplied in the field."""
     a = as_matrix(a)

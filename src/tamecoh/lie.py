@@ -268,13 +268,14 @@ class LieAlgebra:
 
     def derivation_dim(self, rho) -> int:
         """dim of the space of (rho, 1, 1)-derivations, the D with
-        rho D[x, y] = [Dx, y] + [x, Dy] for all x, y.
+        rho D[x, y] = [Dx, y] + [x, Dy] for all x, y: n^2 - rank of the
+        Leibniz system in the n^2 entries of D.
 
         The rule is alternating in (x, y), so the pairs e_i, e_j with i < j
         impose all of it.
         """
         system = derivation_system(self.field, self.structure, np.triu_indices(self.dim, 1), rho)
-        return kernel_space(self.field, system).dim
+        return self.dim ** 2 - rank(self.field, system)
 
     # ---- quotients and base change ----
 

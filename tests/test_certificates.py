@@ -14,6 +14,7 @@ import random
 import numpy as np
 import pytest
 
+from tamecoh import field as field_module
 from tamecoh.algebra import Algebra, AlgebraError
 from tamecoh.cohomology import (
     cochain_derivation,
@@ -27,7 +28,7 @@ from tamecoh.families import make
 from tamecoh.field import Field, Subspace, image_basis, kernel_space, kron, matmul, matvec, rank
 from tamecoh.fixtures import FIXTURE_FAMILIES, fixtures_for
 from tamecoh.lie import bracket, check_bracket_table, from_cohomology
-from tamecoh.resolution import ResolutionSpec, TensorExpr
+from tamecoh.resolution import FULL_EXACTNESS_LIMIT, ResolutionSpec, TensorExpr
 
 GF2, GF3, GF4, GF8, GF9 = Field(2), Field(3), Field(2, 2), Field(2, 3), Field(3, 2)
 
@@ -348,6 +349,53 @@ def test_check_exactness_matches_loops(case, kind):
         assert got == ref_check_exactness(res, random.Random(seed), 40)
     if kind == "corrupted coefficient":
         assert not got["passed"]
+
+
+@pytest.mark.parametrize("path", ["full", "one-sided"])
+def test_exactness_catches_a_nonzero_product_at_matching_ranks(path, monkeypatch):
+    """d1 with its columns reversed has the same rank, so every rank count
+    still matches; only d1 d2 != 0 shows that im d2 is not ker d1."""
+    _, res = variant("SD2B1(2,2)/GF(3)", "clean")
+    f = res.algebra.field
+    if path == "full":
+        name, where, failing = "full_matrix", (1,), "im d2 = ker d1 (full bimodule spaces)"
+    else:
+        name, where, failing = "one_sided_matrix", (0, 1), "one-sided exactness at vertex 0, degree 1"
+    build = getattr(res, name)
+    d1, d2 = build(*where), build(*where[:-1], 2)
+    assert matmul(f, d1[:, ::-1], d2).any()
+    monkeypatch.setattr(res, name,
+                        lambda *args: build(*args)[:, ::-1] if args == where else build(*args))
+    got = res.check_exactness(random.Random(1), probes=10)
+    failed = [(label, msg) for label, good, msg in got["entries"] if not good]
+    r2 = rank(f, d2)
+    assert failed == [(failing, f"dims {r2} vs {r2}" if path == "full" else f"ker {r2} vs im {r2}")]
+    assert got == ref_check_exactness(res, random.Random(1), 10)
+
+
+@pytest.mark.parametrize("family,field,params", [
+    ("SD2B1", GF3, dict(k=2, s=2, c=0)),   # dim 20: full and one-sided paths
+    ("Q1A2", GF2, dict(k=4, c=1, d=1)),    # dim 16, periodic: the wrap-in reads the same ranks
+    ("SD2B1", GF3, dict(k=3, s=4, c=0)),   # dim 31: one-sided path only
+])
+def test_exactness_eliminates_each_matrix_once(family, field, params, monkeypatch):
+    """Every matrix the check builds goes through rref exactly once, and
+    nothing else does: no kernel or image subspace is formed."""
+    res = make(family, field, **params).resolution
+    res = ResolutionSpec(res.algebra, res.summands, res.diffs, periodic=res.periodic)
+    built, reduced = [], []
+    for name in ("full_matrix_aug", "full_matrix", "one_sided_matrix"):
+        def record(*args, build=getattr(res, name)):
+            built.append(build(*args))
+            return built[-1]
+        monkeypatch.setattr(res, name, record)
+    rref = field_module.rref
+    monkeypatch.setattr(field_module, "rref", lambda f, mat: reduced.append(mat) or rref(f, mat))
+    assert res.check_exactness(random.Random(0), probes=5)["passed"]
+    top = res.depth + res.periodic
+    full = 1 + top if res.algebra.dim <= FULL_EXACTNESS_LIMIT else 0
+    assert len(built) == full + res.algebra.quiver.n_vertices * top
+    assert sorted(map(id, reduced)) == sorted(map(id, built))
 
 
 def test_bilinearity_probe_failures_are_counted_exactly():

@@ -17,11 +17,13 @@ from tamecoh.field import (
     as_matrix,
     expand_vector,
     image_basis,
+    join,
     kernel_basis,
     kernel_space,
     matmul,
     matvec,
     pack_vector,
+    product_vanishes,
     rank,
     rref,
     semilinear_kernel,
@@ -206,6 +208,13 @@ def test_rand_is_one_seeded_draw():
         assert f.rand(random.Random(4)) == random.Random(4).randrange(f.q)
     rng = random.Random(5)
     assert not np.array_equal(Field(7, 2).rand(rng, 50), Field(7, 2).rand(rng, 50))
+    # k draws of length n equal one (k, n) draw, so a probe's draws can be stacked
+    for p, m in [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3)]:
+        f = Field(p, m)
+        for k, n in [(1, 1), (2, 3), (3, 8), (5, 20), (2, 0)]:
+            rng = random.Random(k * 100 + n)
+            rows = np.array([f.rand(rng, n) for _ in range(k)]).reshape(k, n)
+            assert np.array_equal(rows, f.rand(random.Random(k * 100 + n), (k, n)))
 
 
 def test_array_ops_match_scalar_ops():
@@ -494,6 +503,59 @@ def test_matmul_refuses_an_inner_dim_past_the_float64_range(p, m):
     b = np.broadcast_to(np.int64(1), (k, 1))
     with pytest.raises(ValueError, match="exact float64"):
         matmul(f, a, b)
+
+
+def test_join_gives_every_equal_pair_in_order():
+    rng = np.random.default_rng(8)
+    for la, lb in [(0, 0), (0, 5), (5, 0), (7, 9), (30, 20)]:
+        a, b = rng.integers(0, 4, la), rng.integers(0, 4, lb)
+        s, t = join(a, b)
+        want = [(i, j) for i in range(la) for j in range(lb) if a[i] == b[j]]
+        assert list(zip(s.tolist(), t.tolist())) == want
+
+
+def sparse(f, rng, shape, density):
+    """Random codes on a random share of the entries, zero elsewhere."""
+    keep = np.array([rng.random() < density for _ in range(int(np.prod(shape)))], dtype=bool)
+    return f.rand(rng, shape) * keep.reshape(shape)
+
+
+def vanishing_pair(f, rng, r, k, c, density):
+    """[A | t A] @ [t B; -B] = 0 with no two terms equal: every entry of the
+    product cancels only in the sum over k, digit by digit over GF(p^m)."""
+    a, b = sparse(f, rng, (r, k), density), sparse(f, rng, (k, c), density)
+    t = 1 + rng.randrange(f.q - 1)
+    return np.hstack([a, f.mul(t, a)]), np.vstack([f.mul(t, b), f.neg(b)])
+
+
+@pytest.mark.parametrize("p,m", ALL_PARAMS)
+def test_product_vanishes_matches_the_dense_product(p, m):
+    f = Field(p, m)
+    rng = random.Random(31 * p + m)
+    pairs = []
+    for r, k, c in itertools.product((0, 1, 5), (0, 1, 6), (0, 1, 4)):
+        pairs += [(f.rand(rng, (r, k)), f.rand(rng, (k, c))),
+                  (np.zeros((r, k), dtype=np.int64), f.rand(rng, (k, c))),
+                  (sparse(f, rng, (r, k), 0.3), sparse(f, rng, (k, c), 0.3))]
+    for density in (1.0, 0.3, 0.05):
+        pairs += [vanishing_pair(f, rng, 6, 8, 5, density) for _ in range(4)]
+    a = f.rand(rng, (5, 7))
+    pairs.append((a, kernel_basis(f, a).T))   # a dense product that cancels mod p
+    # one term whose only nonzero digit is the top one, two that cancel, and
+    # two nonzero entries of the product that would cancel if summed together
+    top = f.p ** (f.m - 1)
+    pairs += [(np.array([[1]]), np.array([[top]])),
+              (np.array([[1, 1]]), np.array([[top], [f.neg(top)]])),
+              (np.eye(2, dtype=np.int64), np.array([[0, top], [f.neg(top), 0]])),
+              (np.eye(2, dtype=np.int64), np.array([[0, 0, top], [f.neg(top), 0, 0]]))]
+    results = set()
+    for a, b in pairs:
+        want = not matmul(f, a, b).any()
+        assert product_vanishes(f, a, b) == want, (a, b)
+        results.add(want)
+    assert results == {True, False}
+    with pytest.raises(ValueError, match="shape mismatch"):
+        product_vanishes(f, np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64))
 
 
 def ref_reduce(sub, v):
