@@ -8,8 +8,11 @@ a kernel modulo an image of the induced matrices.
 An independent check for degree one comes from derivations: the module also
 solves the Leibniz system directly on the multiplication table, with no
 reference to the resolution, and compares dimensions.  One builder,
-``derivation_system``, writes that system for any bilinear product given by
-structure constants; the Lie layer uses it for (rho, 1, 1)-derivations.
+``derivation_system``, gives the nonzero entries (row, column, code) of that
+system for any bilinear product given by structure constants, from joins
+over the nonzero constants; the Lie layer uses it for (rho, 1, 1)-
+derivations.  No dense system is formed: the system falls apart into small
+independent blocks, which ``field.block_eliminate`` reduces chunk by chunk.
 Degree-one cochains become derivation matrices by recursion on word
 length, D(a w') = D(a) w' + a D(w'), in stacked products over any stack of
 cochains.
@@ -22,7 +25,8 @@ import itertools
 import numpy as np
 
 from .algebra import Algebra, AlgebraError
-from .field import Field, Section, Subspace, image_basis, kernel_space
+from .field import (Field, Section, Subspace, block_kernel, group_sums, image_basis, join,
+                    kernel_space)
 from .resolution import ResolutionSpec
 
 
@@ -104,26 +108,42 @@ def centre_cochain(resolution: ResolutionSpec, z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def derivation_system(field: Field, table, pairs, lam) -> np.ndarray:
-    """Rows of lam D(b_i b_j) - D(b_i) b_j - b_i D(b_j) for a product with
-    structure constants ``table[i, j, :] = b_i b_j``.
+def derivation_system(field: Field, table, pairs, lams):
+    """Nonzero entries (row, column, code) of the system lam D(b_i b_j) -
+    D(b_i) b_j - b_i D(b_j) = 0 for a product with structure constants
+    ``table[i, j, :] = b_i b_j``, one triple for each lam in ``lams``.
 
     ``pairs`` holds two equal-length index arrays, the left factors i and the
-    right factors j.  There is one row per (pair, coordinate r) at which one
-    of the three terms can be nonzero; the rest are zero and left out.  The
-    unknown n x n matrix D is flattened row-major, column c holding D(b_c).
+    right factors j.  Row p n + r is coordinate r of the rule for pair p.
+    The unknown n x n matrix D is flattened row-major, column c holding
+    D(b_c), so column t n + c is the entry D[t, c].  Each term is one join
+    of the pairs with the nonzero structure constants; terms that meet at
+    one position are summed in the field, and sums that vanish are dropped.
+    Only the sums depend on lam, so the terms are found once for all lams.
     """
     n = len(table)
-    i, j = pairs
-    keep = table.any(axis=2)[i, j][:, None] | table.any(axis=0)[j] | table.any(axis=1)[i]
-    p, r = np.nonzero(keep)
-    i, j, k = i[p], j[p], np.arange(len(p))
-    rows = np.zeros((len(p), n, n), dtype=np.int64)
-    # lam D(b_i b_j) in row r of D, - D(b_i) b_j in column i, - b_i D(b_j) in column j
-    rows[k, r] = field.mul(lam, table[i, j])
-    rows[k, :, i] = field.sub(rows[k, :, i], table[:, j, r].T)
-    rows[k, :, j] = field.sub(rows[k, :, j], table[i, :, r])
-    return rows.reshape(len(p), n * n)
+    nn = n * n
+    i, j = (np.asarray(a, dtype=np.int64) for a in pairs)
+    x, y, z = np.nonzero(table)
+    v = table[x, y, z]
+    # lam D(b_i b_j): lam b_i b_j at D[r, s], in row r for every r
+    p, e = join(i * n + j, x * n + y)
+    r = np.arange(n)
+    keys = [((p[:, None] * n + r) * nn + r * n + z[e][:, None]).ravel()]
+    scaled = np.repeat(v[e], n)
+    # - D(b_i) b_j: - b_t b_j at D[t, i] in row r; - b_i D(b_j): - b_i b_t at D[t, j]
+    fixed = []
+    for factor, other, side, t in ((j, i, y, x), (i, j, x, y)):
+        p, e = join(factor, side)
+        keys.append((p * n + z[e]) * nn + t[e] * n + other[p])
+        fixed.append(field.neg(v[e]))
+    positions, group = np.unique(np.concatenate(keys), return_inverse=True)
+    fixed = np.concatenate(fixed)
+    for lam in lams:
+        sums = group_sums(field, group, np.concatenate([field.mul(lam, scaled), fixed]),
+                          len(positions))
+        keep = sums != 0
+        yield positions[keep] // nn, positions[keep] % nn, sums[keep]
 
 
 def derivation_space(alg: Algebra) -> Subspace:
@@ -132,15 +152,14 @@ def derivation_space(alg: Algebra) -> Subspace:
     The Leibniz rule is imposed for pairs (basis element, generator) where a
     generator is a vertex idempotent or an arrow class; linearity in the
     first argument and induction on word length give the rule for all pairs.
-    Column i of a derivation matrix is the image of basis element i.
+    Column i of a derivation matrix is the image of basis element i.  The
+    system's kernel comes from ``block_kernel``, block by block.
     """
     n = alg.dim
     _, gens = np.nonzero(alg.generators())
-    # basis element by basis element: on SD2B1(6,6)/GF(2) rref takes about
-    # 30 % less time and working memory on the rows in this order than in
-    # generator-major order
     pairs = np.repeat(np.arange(n), len(gens)), np.tile(gens, n)
-    return kernel_space(alg.field, derivation_system(alg.field, alg.table, pairs, 1))
+    entries, = derivation_system(alg.field, alg.table, pairs, [1])
+    return Subspace(alg.field, n * n, block_kernel(alg.field, *entries, n * n))
 
 
 def inner_derivation_space(alg: Algebra) -> Subspace:

@@ -36,7 +36,9 @@ subspaces bit-identical.
 ``rref`` reduces each block of rows against the echelon basis so far in one
 ``matmul``, eliminates the residual pivot by pivot, and back-reduces the
 basis on the new pivots in one more.  The RREF is unique, so the blocks do
-not change it.
+not change it.  A sparse system given by its nonzero entries is split into
+the independent blocks of its row-column graph, which ``block_eliminate``
+packs into dense chunks of bounded size for ``rref``.
 """
 
 from __future__ import annotations
@@ -331,8 +333,9 @@ def _eliminate(field: Field, r_mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
         col_vals[r] = 0
         rows_nz = np.nonzero(col_vals)[0]
         if len(rows_nz):
-            update = field.mul(col_vals[rows_nz][:, None], r_mat[r, c:][None, :])
-            r_mat[rows_nz, c:] = field.sub(r_mat[rows_nz, c:], update)
+            # x - a b as x + (-a) b: the negation runs over the column only
+            update = field.mul(field.neg(col_vals[rows_nz])[:, None], r_mat[r, c:][None, :])
+            r_mat[rows_nz, c:] = field.add(r_mat[rows_nz, c:], update)
         pivots.append(c)
         r += 1
     return r_mat[:r], pivots
@@ -378,10 +381,19 @@ def join(a, b) -> tuple[np.ndarray, np.ndarray]:
 def nonzero_sums(field: Field, keys, codes) -> np.ndarray:
     """The sorted distinct keys whose codes sum to a nonzero element."""
     uniq, group = np.unique(keys, return_inverse=True)
+    return uniq[group_sums(field, group, codes, len(uniq)) != 0]
+
+
+def group_sums(field: Field, group, codes, n_groups: int) -> np.ndarray:
+    """The field sum of the codes in each group 0 .. n_groups - 1."""
     # a sum of codes is the sum of their GF(p) digits mod p
-    sums = np.zeros((len(uniq), field.m), dtype=np.int64)
-    np.add.at(sums, group, field._digits[codes])
-    return uniq[(sums % field.p).any(axis=1)]
+    digits = field._digits[codes]
+    sums = np.zeros(n_groups, dtype=np.int64)
+    for d in range(field.m):
+        digit = np.zeros(n_groups, dtype=np.int64)
+        np.add.at(digit, group, digits[:, d])
+        sums += digit % field.p * field.p ** d
+    return sums
 
 
 def product_vanishes(field: Field, a, b) -> bool:
@@ -410,10 +422,16 @@ def matvec(field: Field, a, v) -> np.ndarray:
 
 def kernel_basis(field: Field, mat) -> np.ndarray:
     """Canonical basis (as rows) of the right kernel {v : mat @ v = 0}."""
-    r_mat, pivots = rref(field, mat)
-    n_cols = r_mat.shape[1]
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = np.zeros((len(free), n_cols), dtype=np.int64)
+    return _kernel_rows(field, *rref(field, mat))
+
+
+def _kernel_rows(field: Field, r_mat, pivots) -> np.ndarray:
+    """The kernel basis read off an RREF: a unit at each free column, minus
+    that column of the RREF at the pivots."""
+    free = np.ones(r_mat.shape[1], dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    basis = np.zeros((len(free), r_mat.shape[1]), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = field.neg(r_mat[:, free].T)
     return basis
@@ -540,6 +558,103 @@ class Section:
 
     def lift(self, coords) -> np.ndarray:
         return matvec(self.field, self.comp.T, coords)
+
+
+# ---------------------------------------------------------------------------
+# sparse systems, eliminated block by block
+# ---------------------------------------------------------------------------
+
+# cells of the dense chunks that block_eliminate hands to rref; a block
+# larger than that is a chunk alone
+CHUNK_CELLS = 2**16
+
+
+def block_eliminate(field: Field, rows, cols, codes):
+    """The RREF of a sparse system block by block: (columns, reduced rows,
+    pivots) for each dense chunk, its pivots indexing its columns.
+
+    The system has entries codes[e] at (rows[e], cols[e]), no two at one
+    position, with nonnegative indices.  It splits into blocks, the
+    connected parts of the graph in which each entry joins its row to its
+    column.  Whole blocks, taken in order of their least column, are packed
+    into dense chunks of at most CHUNK_CELLS cells, and each chunk goes
+    through ``rref``; a block larger than that is a chunk alone.  A chunk is
+    block diagonal, so its RREF is the RREFs of its blocks together, and the
+    rank of the system is the sum of the chunks' ranks.  A system that fits
+    in one chunk is one chunk, with no need to find its blocks.
+    """
+    rows, cols, codes = (np.asarray(a, dtype=np.int64) for a in (rows, cols, codes))
+    # number the rows and the columns that entries touch, in order
+    used_rows, used_cols = np.bincount(rows) > 0, np.bincount(cols) > 0
+    row, col = np.cumsum(used_rows)[rows] - 1, np.cumsum(used_cols)[cols] - 1
+    touched = np.flatnonzero(used_cols)
+    n_rows, n_cols = int(used_rows.sum()), len(touched)
+    # the columns, rows and entries of each chunk, columns and rows in order
+    if n_rows * n_cols <= CHUNK_CELLS:
+        groups = [np.arange(n_cols)], [np.arange(n_rows)], [np.arange(len(codes))]
+    else:
+        col_chunk, row_chunk = _pack_blocks(row, col, n_rows, n_cols)
+        n_chunks = int(col_chunk.max()) + 1
+        groups = [np.split(np.argsort(chunk, kind="stable"),
+                           np.cumsum(np.bincount(chunk, minlength=n_chunks))[:-1])
+                  for chunk in (col_chunk, row_chunk, row_chunk[row])]
+    col_pos, row_pos = np.zeros(n_cols, dtype=np.int64), np.zeros(n_rows, dtype=np.int64)
+    for cols_k, rows_k, e in zip(*groups):
+        col_pos[cols_k], row_pos[rows_k] = np.arange(len(cols_k)), np.arange(len(rows_k))
+        dense = np.zeros((len(rows_k), len(cols_k)), dtype=np.int64)
+        dense[row_pos[row[e]], col_pos[col[e]]] = codes[e]
+        yield touched[cols_k], *rref(field, dense)
+
+
+def block_kernel(field: Field, rows, cols, codes, n_cols: int) -> np.ndarray:
+    """A kernel basis (as rows) of the sparse system of ``block_eliminate``
+    with n_cols columns: the kernels of its chunks, and a unit vector for
+    each column that no entry touches."""
+    parts = [(where, _kernel_rows(field, reduced, pivots))
+             for where, reduced, pivots in block_eliminate(field, rows, cols, codes)]
+    untouched = np.ones(n_cols, dtype=bool)
+    for where, _ in parts:
+        untouched[where] = False
+    untouched = np.flatnonzero(untouched)
+    parts.append((untouched, np.eye(len(untouched), dtype=np.int64)))
+    kernel = np.zeros((sum(len(vectors) for _, vectors in parts), n_cols), dtype=np.int64)
+    start = 0
+    for where, vectors in parts:
+        kernel[start:start + len(vectors), where] = vectors
+        start += len(vectors)
+    return kernel
+
+
+def _pack_blocks(row, col, n_rows: int, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The chunk of each column and of each row, for entries at (row[e],
+    col[e]) that touch all n_rows rows and n_cols columns."""
+    # label every column with the least column of its block: each row takes
+    # the least label of its columns and hands it back to them, and pointer
+    # jumping follows labels to their own labels
+    label = np.arange(n_cols)
+    while True:
+        row_min = np.full(n_rows, n_cols)
+        np.minimum.at(row_min, row, label[col])
+        new = label.copy()
+        np.minimum.at(new, col, row_min[row])
+        while not np.array_equal(new[new], new):
+            new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    roots, col_block = np.unique(label, return_inverse=True)
+    row_block = np.zeros(n_rows, dtype=np.int64)
+    row_block[row] = col_block[col]
+    # consecutive blocks share a chunk while its cells stay within the bound
+    chunk_of = np.zeros(len(roots), dtype=np.int64)
+    chunk = height = width = 0
+    for b, (h, w) in enumerate(zip(np.bincount(row_block, minlength=len(roots)).tolist(),
+                                   np.bincount(col_block, minlength=len(roots)).tolist())):
+        if width and (height + h) * (width + w) > CHUNK_CELLS:
+            chunk, height, width = chunk + 1, 0, 0
+        chunk_of[b] = chunk
+        height, width = height + h, width + w
+    return chunk_of[col_block], chunk_of[row_block]
 
 
 def image_basis(field: Field, mat) -> Subspace:

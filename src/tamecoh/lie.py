@@ -33,7 +33,8 @@ import numpy as np
 
 from .algebra import AlgebraError
 from .cohomology import CohomologySpace, cochain_derivation, derivation_system
-from .field import Field, Section, Subspace, as_matrix, inverse, kernel_space, matmul, rank
+from .field import (Field, Section, Subspace, as_matrix, block_eliminate, inverse,
+                    kernel_space, matmul, rank)
 from .fixtures import FixtureSet
 from .resolution import ResolutionSpec
 
@@ -266,16 +267,21 @@ class LieAlgebra:
                 return ideal
             ideal = grown
 
-    def derivation_dim(self, rho) -> int:
-        """dim of the space of (rho, 1, 1)-derivations, the D with
-        rho D[x, y] = [Dx, y] + [x, Dy] for all x, y: n^2 - rank of the
-        Leibniz system in the n^2 entries of D.
+    def derivation_dims(self, rhos) -> list[int]:
+        """dim of the space of (rho, 1, 1)-derivations for each rho, the D
+        with rho D[x, y] = [Dx, y] + [x, Dy] for all x, y: n^2 - rank of the
+        Leibniz system in the n^2 entries of D, summed over its chunks.
 
         The rule is alternating in (x, y), so the pairs e_i, e_j with i < j
-        impose all of it.
+        impose all of it.  The systems share their terms, which are found
+        once for all the rhos.
         """
-        system = derivation_system(self.field, self.structure, np.triu_indices(self.dim, 1), rho)
-        return self.dim ** 2 - rank(self.field, system)
+        systems = derivation_system(self.field, self.structure, np.triu_indices(self.dim, 1), rhos)
+        return [self.dim ** 2 - sum(len(pivots) for _, _, pivots in block_eliminate(self.field, *s))
+                for s in systems]
+
+    def derivation_dim(self, rho) -> int:
+        return self.derivation_dims([rho])[0]
 
     # ---- quotients and base change ----
 
@@ -478,7 +484,8 @@ def fingerprint(lie: LieAlgebra, probes=(), nilradical_limit: int = 10 ** 6
     lower = lie.lower_central_series()
     derived = tuple(s.dim for s in lie.derived_series()[1:])
     nilrad = lie.nilradical(limit=nilradical_limit)
-    der_dims = tuple((int(rho), lie.derivation_dim(rho)) for rho in probes)
+    probes = [int(rho) for rho in probes]
+    der_dims = tuple(zip(probes, lie.derivation_dims(probes)))
     return Fingerprint(
         dim=lie.dim,
         lower_central_dims=tuple(s.dim for s in lower[1:]),

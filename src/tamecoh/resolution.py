@@ -414,11 +414,13 @@ class ResolutionSpec:
             entries.append(("augmentation surjective", good, ""))
             for d in range(1, top + 1):
                 ker = mats[d - 1].shape[1] - ranks[d - 1]
-                good = ranks[d] == ker and product_vanishes(f, mats[d - 1], mats[d])
+                vanishes = product_vanishes(f, mats[d - 1], mats[d])
+                good = ranks[d] == ker and vanishes
                 ok &= good
                 entries.append(
                     (f"im d{d} = ker d{d - 1} (full bimodule spaces)", good,
-                     "" if good else f"dims {ranks[d]} vs {ker}"))
+                     "" if good else f"dims {ranks[d]} vs {ker}"
+                     + ("" if vanishes else f", product d{d - 1} d{d} nonzero")))
             if self.periodic:
                 # the wrap-in map factors through multiplication onto a free
                 # rank-one image, so its matrix rank equals dim(A)
@@ -434,11 +436,13 @@ class ResolutionSpec:
             entries.append((f"one-sided complex at vertex {v}: im d1 = rad", good, ""))
             for d in range(1, top):
                 ker = mats[d].shape[1] - ranks[d]
-                good = ranks[d + 1] == ker and product_vanishes(f, mats[d], mats[d + 1])
+                vanishes = product_vanishes(f, mats[d], mats[d + 1])
+                good = ranks[d + 1] == ker and vanishes
                 ok &= good
                 entries.append(
                     (f"one-sided exactness at vertex {v}, degree {d}", good,
-                     "" if good else f"ker {ker} vs im {ranks[d + 1]}"))
+                     "" if good else f"ker {ker} vs im {ranks[d + 1]}"
+                     + ("" if vanishes else f", product d{d} d{d + 1} nonzero")))
         if rng is None:
             rng = random.Random(0)
         draws = []

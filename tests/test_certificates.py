@@ -21,11 +21,13 @@ from tamecoh.cohomology import (
     check_hh1_against_derivations,
     derivation_from_arrow_values,
     derivation_space,
+    derivation_system,
     hh,
     inner_derivation_space,
 )
 from tamecoh.families import make
-from tamecoh.field import Field, Subspace, image_basis, kernel_space, kron, matmul, matvec, rank
+from tamecoh.field import (CHUNK_CELLS, Field, Subspace, image_basis, kernel_space, kron, matmul,
+                           matvec, rank)
 from tamecoh.fixtures import FIXTURE_FAMILIES, fixtures_for
 from tamecoh.lie import bracket, check_bracket_table, from_cohomology
 from tamecoh.resolution import FULL_EXACTNESS_LIMIT, ResolutionSpec, TensorExpr
@@ -147,13 +149,14 @@ def ref_check_exactness(res, rng, probes, full_limit=30):
     if alg.dim <= full_limit:
         aug = ref_full_matrix_aug(res)
         entries.append(("augmentation surjective", rank(f, aug) == alg.dim, ""))
-        mats = {d: res.full_matrix(d) for d in range(1, top + 1)}
+        mats = {0: aug} | {d: res.full_matrix(d) for d in range(1, top + 1)}
         prev_ker = kernel_space(f, aug)
         for d in range(1, top + 1):
             im = Subspace(f, mats[d].shape[0], mats[d].T)
             good = im == prev_ker
             entries.append((f"im d{d} = ker d{d - 1} (full bimodule spaces)", good,
-                            "" if good else f"dims {im.dim} vs {prev_ker.dim}"))
+                            "" if good else f"dims {im.dim} vs {prev_ker.dim}"
+                            + ref_product_note(f, mats[d - 1], mats[d], d - 1)))
             prev_ker = kernel_space(f, mats[d])
         if res.periodic:
             entries.append(("wrap-in map has rank dim(A)",
@@ -169,9 +172,17 @@ def ref_check_exactness(res, rng, probes, full_limit=30):
             im = Subspace(f, b.shape[0], b.T)
             good = prod_zero and im == ker
             entries.append((f"one-sided exactness at vertex {v}, degree {d}", good,
-                            "" if good else f"ker {ker.dim} vs im {im.dim}"))
+                            "" if good else f"ker {ker.dim} vs im {im.dim}"
+                            + ref_product_note(f, a, b, d)))
     entries.append(ref_bilinearity(res, rng, probes))
     return {"passed": all(e[1] for e in entries), "entries": entries}
+
+
+def ref_product_note(f, a, b, d):
+    """What a failing exactness entry adds when the dense product d_d d_(d+1)
+    is nonzero."""
+    nonzero = matmul(f, a, b).any() if a.size and b.size else False
+    return f", product d{d} d{d + 1} nonzero" if nonzero else ""
 
 
 def ref_bilinearity(res, rng, probes):
@@ -369,7 +380,8 @@ def test_exactness_catches_a_nonzero_product_at_matching_ranks(path, monkeypatch
     got = res.check_exactness(random.Random(1), probes=10)
     failed = [(label, msg) for label, good, msg in got["entries"] if not good]
     r2 = rank(f, d2)
-    assert failed == [(failing, f"dims {r2} vs {r2}" if path == "full" else f"ker {r2} vs im {r2}")]
+    counts = f"dims {r2} vs {r2}" if path == "full" else f"ker {r2} vs im {r2}"
+    assert failed == [(failing, counts + ", product d1 d2 nonzero")]
     assert got == ref_check_exactness(res, random.Random(1), 10)
 
 
@@ -396,6 +408,45 @@ def test_exactness_eliminates_each_matrix_once(family, field, params, monkeypatc
     full = 1 + top if res.algebra.dim <= FULL_EXACTNESS_LIMIT else 0
     assert len(built) == full + res.algebra.quiver.n_vertices * top
     assert sorted(map(id, reduced)) == sorted(map(id, built))
+
+
+def ref_blocks(rows, cols):
+    """Connected blocks of the row-column graph of some entries, by
+    union-find: (rows, columns) of each block."""
+    parent = {}
+
+    def root(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        parent[root(("r", r))] = root(("c", c))
+    blocks = {}
+    for x in list(parent):
+        blocks.setdefault(root(x), set()).add(x)
+    return [(sum(k == "r" for k, _ in b), sum(k == "c" for k, _ in b)) for b in blocks.values()]
+
+
+def test_derivation_space_hands_rref_only_bounded_chunks(monkeypatch):
+    """On SD2B1(3,4)/GF(3) the Leibniz system reaches rref in chunks of whole
+    blocks, none with more cells than CHUNK_CELLS unless one block has more."""
+    alg = make("SD2B1", GF3, k=3, s=4, c=0).algebra
+    n = alg.dim
+    _, gens = np.nonzero(alg.generators())
+    (rows, cols, _), = derivation_system(alg.field, alg.table,
+                                         (np.repeat(np.arange(n), len(gens)), np.tile(gens, n)), [1])
+    blocks = ref_blocks(rows, cols)
+    assert max(w for _, w in blocks) == 29
+    bound = max([CHUNK_CELLS] + [h * w for h, w in blocks])
+    shapes = []
+    rref = field_module.rref
+    monkeypatch.setattr(field_module, "rref",
+                        lambda f, mat: shapes.append(np.shape(mat)) or rref(f, mat))
+    der = derivation_space(alg)
+    assert der.dim == 30
+    assert 1 < len(shapes) < len(blocks)
+    assert max(r * c for r, c in shapes) <= bound
 
 
 def test_bilinearity_probe_failures_are_counted_exactly():

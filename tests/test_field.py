@@ -10,15 +10,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from tamecoh.field import (
+    CHUNK_CELLS,
     Field,
     _tables,
     Section,
     Subspace,
     as_matrix,
+    block_eliminate,
+    block_kernel,
     expand_vector,
     image_basis,
     join,
     kernel_basis,
+    group_sums,
     kernel_space,
     matmul,
     matvec,
@@ -556,6 +560,86 @@ def test_product_vanishes_matches_the_dense_product(p, m):
     assert results == {True, False}
     with pytest.raises(ValueError, match="shape mismatch"):
         product_vanishes(f, np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64))
+
+
+def densify(f, rows, cols, codes, shape):
+    """The dense matrix of some entries, codes at one position added up."""
+    out = np.zeros(shape, dtype=np.int64)
+    for r, c, v in zip(rows.tolist(), cols.tolist(), codes.tolist()):
+        out[r, c] = f.add(out[r, c], v)
+    return out
+
+
+def block_diagonal(f, rng, n_blocks, max_rows, max_cols, density):
+    """Sparse random blocks on the diagonal, rows and columns then shuffled."""
+    blocks = [sparse(f, rng, (rng.randrange(max_rows + 1), 1 + rng.randrange(max_cols)), density)
+              for _ in range(n_blocks)]
+    out = np.zeros((sum(len(b) for b in blocks), sum(b.shape[1] for b in blocks)), dtype=np.int64)
+    r = c = 0
+    for b in blocks:
+        out[r:r + len(b), c:c + b.shape[1]] = b
+        r, c = r + len(b), c + b.shape[1]
+    rows, cols = list(range(len(out))), list(range(out.shape[1]))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return out[rows][:, cols]
+
+
+def block_systems(f, rng):
+    """(entries, shape) of sparse systems, and the terms of some with
+    colliding entries, which are summed as ``derivation_system`` sums them."""
+    mats = [block_diagonal(f, rng, 12, 5, 4, 0.5) for _ in range(3)]
+    mats.append(block_diagonal(f, rng, 150, 6, 5, 0.4))        # several chunks
+    base = block_diagonal(f, rng, 10, 4, 4, 0.6)
+    mats.append(np.vstack([base, base[::2], base[:3]]))         # duplicate rows
+    mats.append(np.hstack([np.zeros((len(base), 3), dtype=np.int64), base,
+                           np.zeros((len(base), 2), dtype=np.int64)]))  # untouched columns
+    mats += [np.zeros((0, 5), dtype=np.int64), np.zeros((4, 0), dtype=np.int64),
+             np.zeros((0, 0), dtype=np.int64), np.zeros((3, 4), dtype=np.int64)]
+    mats += [f.rand(rng, (9, 7)), f.rand(rng, (4, 11))]        # a single dense block
+    # one block past CHUNK_CELLS: row i joins columns i and i + 1 (mod 60)
+    path = np.zeros((1100, 60), dtype=np.int64)
+    path[np.arange(1100), np.arange(1100) % 60] = 1
+    path[np.arange(1100), np.arange(1, 1101) % 60] = f.neg(1)
+    assert path.size > CHUNK_CELLS
+    mats.append(path)
+    for mat in mats:
+        rows, cols = np.nonzero(mat)
+        yield (rows, cols, mat[rows, cols]), mat.shape
+    # every entry split into two terms, plus terms that cancel in pairs, some
+    # of them filling a row or a column that is otherwise zero
+    for mat in (block_diagonal(f, rng, 15, 5, 4, 0.5), f.rand(rng, (6, 5))):
+        mat = np.hstack([np.vstack([mat, np.zeros((1, mat.shape[1]), dtype=np.int64)]),
+                         np.zeros((len(mat) + 1, 1), dtype=np.int64)])
+        rows, cols = np.nonzero(mat)
+        split = f.rand(rng, len(rows))
+        cancel_r = np.array([rng.randrange(len(mat)) for _ in range(20)] + [len(mat) - 1] * 3)
+        cancel_c = np.array([rng.randrange(mat.shape[1]) for _ in range(20)] + [0, 1, 2])
+        cancel_c[:3] = mat.shape[1] - 1
+        cancel = 1 + np.array([rng.randrange(f.q - 1) for _ in range(len(cancel_r))])
+        terms = (np.concatenate([rows, rows, cancel_r, cancel_r]),
+                 np.concatenate([cols, cols, cancel_c, cancel_c]),
+                 np.concatenate([split, f.sub(mat[rows, cols], split), cancel, f.neg(cancel)]))
+        assert np.array_equal(densify(f, *terms, mat.shape), mat)
+        keys, group = np.unique(terms[0] * mat.shape[1] + terms[1], return_inverse=True)
+        sums = group_sums(f, group, terms[2], len(keys))
+        keys, sums = keys[sums != 0], sums[sums != 0]
+        yield (keys // mat.shape[1], keys % mat.shape[1], sums), mat.shape
+
+
+@pytest.mark.parametrize("p,m", ALL_PARAMS)
+def test_block_elimination_matches_the_dense_path(p, m):
+    f = Field(p, m)
+    rng = random.Random(17 * p + m)
+    for entries, shape in block_systems(f, rng):
+        dense = densify(f, *entries, shape)
+        chunks = list(block_eliminate(f, *entries))
+        got_rank = sum(len(pivots) for _, _, pivots in chunks)
+        assert got_rank == rank(f, dense)
+        kernel = block_kernel(f, *entries, shape[1])
+        assert kernel.shape == (shape[1] - got_rank, shape[1])
+        assert Subspace(f, shape[1], kernel) == kernel_space(f, dense)
+        assert not matmul(f, dense, kernel.T).any()
 
 
 def ref_reduce(sub, v):

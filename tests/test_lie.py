@@ -242,6 +242,15 @@ def ref_derivation_system(lie, lam, mu, nu):
     return np.vstack(blocks)
 
 
+def dense_system(f, table, pairs, lam):
+    """The entries of ``derivation_system`` as a dense (pairs * n, n^2) array."""
+    n = len(table)
+    (rows, cols, codes), = derivation_system(f, table, pairs, [lam])
+    out = np.zeros((len(pairs[0]) * n, n * n), dtype=np.int64)
+    out[rows, cols] = codes
+    return out
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_derivation_system_matches_block_loop(case):
     lie, conj, _ = algebras(case, 13)
@@ -250,7 +259,7 @@ def test_derivation_system_matches_block_loop(case):
         pairs = np.triu_indices(alg.dim, 1)
         for rho in f.elements():
             ref = kernel_space(f, ref_derivation_system(alg, rho, 1, 1))
-            assert kernel_space(f, derivation_system(f, alg.structure, pairs, rho)) == ref
+            assert kernel_space(f, dense_system(f, alg.structure, pairs, rho)) == ref
             assert alg.derivation_dim(rho) == ref.dim
 
 
@@ -273,8 +282,15 @@ def test_derivation_system_keeps_exactly_the_rows_that_can_be_nonzero(case):
         mask = np.array([ref_row_can_be_nonzero(alg.structure, *idx)
                          for idx in np.ndindex(n, n, n)], dtype=bool).reshape(n, n, n)
         pairs = tuple(a.ravel() for a in np.indices((n, n)))
-        assert np.array_equal(derivation_system(f, alg.structure, pairs, lam), full[mask])
-        assert not full[~mask].any()
+        # row (i n + j) n + r of the densified entries is row (i, j, r)
+        dense = dense_system(f, alg.structure, pairs, lam).reshape(n, n, n, n * n)
+        assert np.array_equal(dense[mask], full[mask])
+        assert not full[~mask].any() and not dense[~mask].any()
+        # a row whose terms cancel has no entries, so the rows with entries
+        # are exactly the nonzero rows, all of them among those kept above
+        (rows, _, codes), = derivation_system(f, alg.structure, pairs, [lam])
+        assert np.array_equal(np.unique(rows), np.flatnonzero(full.any(axis=3)))
+        assert codes.all()
 
 
 def test_zero_dimensional_lie_algebra_fingerprint():
