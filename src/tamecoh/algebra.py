@@ -528,7 +528,7 @@ class Algebra:
         first, then = join(z, y)
         right = ((x[then] * n + x[first]) * n + y[first]) * n + z[then]
         right_c = f.neg(f.mul(c[first], c[then]))
-        bad = nonzero_sums(f, np.concatenate([left, right]), np.concatenate([left_c, right_c]))
+        bad, _ = nonzero_sums(f, np.concatenate([left, right]), np.concatenate([left_c, right_c]))
         if len(bad):
             i, j, k = (int(v) for v in np.unravel_index(bad[0] // n, (n, n, n)))
             raise AlgebraError(f"associativity fails at basis triple ({i}, {j}, {k})")

@@ -18,6 +18,8 @@ Instances carry the start of the minimal bimodule resolution (the full
 
 from __future__ import annotations
 
+import inspect
+import operator
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
@@ -198,8 +200,16 @@ def _require_char2(f: Field, family: str) -> None:
         )
 
 
+def _integer(name: str, value) -> int:
+    """An integer parameter (numpy integers included); 2.5 or "2" is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise FamilyError(f"invalid parameters: {name}={value!r} is not an integer") from None
+
+
 def _check_scalar(f: Field, name: str, value) -> int:
-    v = int(value)
+    v = _integer(name, value)
     if not 0 <= v < f.q:
         raise FamilyError(
             f"invalid parameters: {name}={value} is not a field code in GF({f.q})"
@@ -208,7 +218,7 @@ def _check_scalar(f: Field, name: str, value) -> int:
 
 
 def _check_k(k, minimum: int = 2) -> int:
-    k = int(k)
+    k = _integer("k", k)
     if k < minimum:
         raise FamilyError(f"invalid parameters: k must be at least {minimum}, got {k}")
     return k
@@ -379,7 +389,7 @@ def _build_q1a2(f: Field, k, c=0, d=0):
 
 def _check_two_vertex_params(k, s, k_min=2, s_min=2):
     k = _check_k(k, k_min)
-    s = int(s)
+    s = _integer("s", s)
     if s < s_min:
         hint = ""
         if s == 1:
@@ -601,7 +611,14 @@ def make(family: str, field: Field, **params) -> FamilyInstance:
     key = (family, field.p, field.m, tuple(sorted(params.items())))
     if key in _CACHE:
         return _CACHE[key]
-    data = _BUILDERS[family](field, **params)
+    build = _BUILDERS[family]
+    try:
+        inspect.signature(build).bind(field, **params)
+    except TypeError:
+        accepted = ", ".join(list(inspect.signature(build).parameters)[1:])
+        raise FamilyError(f"invalid parameters for {family}: it takes {accepted}; "
+                          f"got {', '.join(params) or 'none'}") from None
+    data = build(field, **params)
     alg = data["algebra"]
     if "resolution" not in data:
         data["resolution"] = standard_resolution(alg, data.pop("resolution_z"))

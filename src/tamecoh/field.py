@@ -30,20 +30,23 @@ Pernet, ACM TOMS 2008), and is exact: every partial sum is an integer of at
 most k (p - 1)^2 for inner dimension k, and ``matmul`` refuses a product
 where that bound reaches 2^53.
 
-Matrices are plain ``numpy`` int64 arrays of codes, and all row reduction is
+Dense matrices are plain ``numpy`` int64 arrays of codes; all row reduction is
 exact.  ``Subspace`` keeps a reduced row echelon basis, which makes equal
 subspaces bit-identical.
 ``rref`` reduces each block of rows against the echelon basis so far in one
 ``matmul``, eliminates the residual pivot by pivot, and back-reduces the
 basis on the new pivots in one more.  The RREF is unique, so the blocks do
-not change it.  A sparse system given by its nonzero entries is split into
-the independent blocks of its row-column graph, which ``block_eliminate``
-packs into dense chunks of bounded size for ``rref``.
+not change it.  A sparse matrix is given by its nonzero entries (rows,
+cols, codes), plus its shape where one is needed.  It is split into the
+independent blocks of its row-column graph, which ``block_eliminate`` packs
+into dense chunks of bounded size for ``rref``; ``block_rank`` sums their
+ranks, and ``product_vanishes`` tests a product on the entries alone.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -214,10 +217,14 @@ class Field:
     def code(self, value) -> int:
         """A coefficient given from outside, as a field code.
 
-        Over GF(p) every integer is reduced mod p.  Over GF(p^m) integers do
-        not map onto the codes, so the value must already lie in range(q).
+        The value must be an integer (numpy integers included).  Over GF(p)
+        every integer is reduced mod p.  Over GF(p^m) integers do not map
+        onto the codes, so the value must already lie in range(q).
         """
-        c = int(value)
+        try:
+            c = operator.index(value)
+        except TypeError:
+            raise ValueError(f"{value!r} is not an integer, so not a field code") from None
         if self.m == 1:
             return c % self.p
         if not 0 <= c < self.q:
@@ -378,10 +385,12 @@ def join(a, b) -> tuple[np.ndarray, np.ndarray]:
     return s, order[lo[s] + np.arange(len(s)) - (np.cumsum(counts) - counts)[s]]
 
 
-def nonzero_sums(field: Field, keys, codes) -> np.ndarray:
-    """The sorted distinct keys whose codes sum to a nonzero element."""
+def nonzero_sums(field: Field, keys, codes) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct keys whose codes sum to a nonzero element, and
+    those sums."""
     uniq, group = np.unique(keys, return_inverse=True)
-    return uniq[group_sums(field, group, codes, len(uniq)) != 0]
+    sums = group_sums(field, group, codes, len(uniq))
+    return uniq[sums != 0], sums[sums != 0]
 
 
 def group_sums(field: Field, group, codes, n_groups: int) -> np.ndarray:
@@ -397,23 +406,15 @@ def group_sums(field: Field, group, codes, n_groups: int) -> np.ndarray:
 
 
 def product_vanishes(field: Field, a, b) -> bool:
-    """Whether a @ b is zero, from the terms a[i, k] b[k, j] of the nonzero
-    entries alone; no dense product is formed."""
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    i, k = np.nonzero(a)
-    l, j = np.nonzero(b)
+    """Whether a b is zero, for sparse matrices (rows, cols, codes, shape):
+    the terms a[i, k] b[k, j] of their nonzero entries are joined on k and
+    summed per position; no dense product is formed."""
+    (i, k, a_codes, a_shape), (l, j, b_codes, b_shape) = a, b
+    if a_shape[1] != b_shape[0]:
+        raise ValueError(f"shape mismatch {a_shape} @ {b_shape}")
     s, t = join(k, l)
-    codes = field.mul(a[i[s], k[s]], b[l[t], j[t]])
-    return not len(nonzero_sums(field, i[s] * b.shape[1] + j[t], codes))
-
-
-def kron(field: Field, a, b) -> np.ndarray:
-    """Kronecker product with entries multiplied in the field."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    out = field.mul(a[:, None, :, None], b[None, :, None, :])
-    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    codes = field.mul(a_codes[s], b_codes[t])
+    return not len(nonzero_sums(field, i[s] * b_shape[1] + j[t], codes)[0])
 
 
 def matvec(field: Field, a, v) -> np.ndarray:
@@ -604,6 +605,12 @@ def block_eliminate(field: Field, rows, cols, codes):
         dense = np.zeros((len(rows_k), len(cols_k)), dtype=np.int64)
         dense[row_pos[row[e]], col_pos[col[e]]] = codes[e]
         yield touched[cols_k], *rref(field, dense)
+
+
+def block_rank(field: Field, rows, cols, codes) -> int:
+    """The rank of the sparse system of ``block_eliminate``: the sum of the
+    ranks of its chunks."""
+    return sum(len(pivots) for _, _, pivots in block_eliminate(field, rows, cols, codes))
 
 
 def block_kernel(field: Field, rows, cols, codes, n_cols: int) -> np.ndarray:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .algebra import AlgebraError
 from .cohomology import CohomologySpace, cochain_derivation, derivation_system
-from .field import (Field, Section, Subspace, as_matrix, block_eliminate, inverse,
+from .field import (Field, Section, Subspace, as_matrix, block_rank, inverse,
                     kernel_space, matmul, rank)
 from .fixtures import FixtureSet
 from .resolution import ResolutionSpec
@@ -277,8 +277,7 @@ class LieAlgebra:
         once for all the rhos.
         """
         systems = derivation_system(self.field, self.structure, np.triu_indices(self.dim, 1), rhos)
-        return [self.dim ** 2 - sum(len(pivots) for _, _, pivots in block_eliminate(self.field, *s))
-                for s in systems]
+        return [self.dim ** 2 - block_rank(self.field, *s) for s in systems]
 
     def derivation_dim(self, rho) -> int:
         return self.derivation_dims([rho])[0]
@@ -388,7 +387,6 @@ def check_bracket_table(space: CohomologySpace, fix: FixtureSet) -> dict:
     f = fix.field
     table = _bracket_table(space.resolution, [fix.vec(a) for a in fix.basis], check=True)
     entries = []
-    ok = True
     for ia, a in enumerate(fix.basis):
         for ib, b in enumerate(fix.basis):
             if a == b:
@@ -400,10 +398,8 @@ def check_bracket_table(space: CohomologySpace, fix: FixtureSet) -> dict:
                 expected = f.neg(fix.vec(fix.brackets[(b, a)]))
             else:
                 expected = fix.vec({})
-            good = space.same_class(computed, expected)
-            ok &= bool(good)
-            entries.append((a, b, bool(good)))
-    return {"passed": ok, "entries": entries}
+            entries.append((a, b, bool(space.same_class(computed, expected))))
+    return {"passed": all(good for _, _, good in entries), "entries": entries}
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from tamecoh.cohomology import (
     inner_derivation_space,
 )
 from tamecoh.families import make
-from tamecoh.field import (CHUNK_CELLS, Field, Subspace, image_basis, kernel_space, kron, matmul,
-                           matvec, rank)
+from tamecoh.field import (CHUNK_CELLS, Field, Subspace, image_basis, kernel_space, matmul, matvec,
+                           rank)
 from tamecoh.fixtures import FIXTURE_FAMILIES, fixtures_for
 from tamecoh.lie import bracket, check_bracket_table, from_cohomology
 from tamecoh.resolution import FULL_EXACTNESS_LIMIT, ResolutionSpec, TensorExpr
@@ -134,11 +134,96 @@ def ref_check_complex(res, rng, probes):
     return {"passed": all(e[1] for e in entries), "entries": entries}
 
 
+def kron(f, a, b):
+    """Kronecker product with entries multiplied in the field."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    out = f.mul(a[:, None, :, None], b[None, :, None, :])
+    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
+def ref_assemble(f, row_sizes, col_sizes, blocks):
+    """Sum of (row block, column block, matrix) contributions in one matrix."""
+    roff = np.cumsum([0, *row_sizes])
+    coff = np.cumsum([0, *col_sizes])
+    mat = np.zeros((int(roff[-1]), int(coff[-1])), dtype=np.int64)
+    for r, c, block in blocks:
+        view = mat[roff[r]:roff[r + 1], coff[c]:coff[c + 1]]
+        view[...] = f.add(view, block)
+    return mat
+
+
+def ref_bimodule_pairs(res, degree):
+    alg = res.algebra
+    return [(alg.window(None, s.left), alg.window(s.right, None))
+            for s in res.summands_at(degree)]
+
+
+def ref_full_matrix(res, degree):
+    """The differential on the underlying vector spaces, densely: a term
+    l (x)_s r of generator t adds the Kronecker product of the window blocks
+    of R_l and L_r at (s, t)."""
+    alg = res.algebra
+    dom = ref_bimodule_pairs(res, degree)
+    cod = ref_bimodule_pairs(res, degree - 1)
+    blocks = (
+        (s, t, kron(alg.field,
+                    alg.right_mult_matrix(l)[np.ix_(cod[s][0], dom[t][0])],
+                    alg.left_mult_matrix(r)[np.ix_(cod[s][1], dom[t][1])]))
+        for t, expr in enumerate(res.diff_at(degree))
+        for s, l, r in expr.terms
+    )
+    return ref_assemble(alg.field, (len(a) * len(b) for a, b in cod),
+                        (len(a) * len(b) for a, b in dom), blocks)
+
+
+def ref_one_sided_matrix(res, vertex, degree):
+    """The induced right-module complex S_vertex (x) Q, densely: only the
+    summands starting at the vertex survive, and a term l (x) r acts as left
+    multiplication by r scaled by the idempotent coefficient of l."""
+    alg = res.algebra
+    f = alg.field
+    e_v = alg.index[alg.quiver.idempotent_word(vertex)]
+    cod = {i: alg.window(s.right, None)
+           for i, s in enumerate(res.summands_at(degree - 1)) if s.left == vertex}
+    dom = {i: alg.window(s.right, None)
+           for i, s in enumerate(res.summands_at(degree)) if s.left == vertex}
+    row_pos = {s: pos for pos, s in enumerate(cod)}
+    blocks = (
+        (row_pos[s], col,
+         f.mul(alg.left_mult_matrix(r)[np.ix_(cod[s], dom[t])], int(l[e_v])))
+        for col, t in enumerate(dom)
+        for s, l, r in res.diff_at(degree)[t].terms
+        if s in cod and l[e_v]
+    )
+    return ref_assemble(f, map(len, cod.values()), map(len, dom.values()), blocks)
+
+
+def ref_induced_matrix(res, degree):
+    """The cochain map densely: a term l (x)_s r of generator t adds the
+    window block of L_l R_r at (t, s)."""
+    alg = res.algebra
+    dom, cod = res.cochain_coords(degree - 1), res.cochain_coords(degree)
+    blocks = ((t, s, matmul(alg.field, alg.left_mult_matrix(l)[cod[t]],
+                            alg.right_mult_matrix(r)[:, dom[s]]))
+              for t, expr in enumerate(res.diff_at(degree)) for s, l, r in expr.terms)
+    return ref_assemble(alg.field, map(len, cod), map(len, dom), blocks)
+
+
 def ref_full_matrix_aug(res):
     alg = res.algebra
     cols = [alg.multiply(alg.basis_vector(i), alg.basis_vector(j))
-            for ii, jj in res._bimodule_pairs(0) for i in ii for j in jj]
+            for ii, jj in ref_bimodule_pairs(res, 0) for i in ii for j in jj]
     return np.array(cols, dtype=np.int64).T
+
+
+def dense(rows, cols, codes, shape):
+    """The dense matrix of a sparse one, whose entries must sit at distinct
+    positions and be nonzero."""
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
+    assert np.all(codes != 0)
+    out = np.zeros(shape, dtype=np.int64)
+    out[rows, cols] = codes
+    return out
 
 
 def ref_check_exactness(res, rng, probes, full_limit=30):
@@ -149,7 +234,7 @@ def ref_check_exactness(res, rng, probes, full_limit=30):
     if alg.dim <= full_limit:
         aug = ref_full_matrix_aug(res)
         entries.append(("augmentation surjective", rank(f, aug) == alg.dim, ""))
-        mats = {0: aug} | {d: res.full_matrix(d) for d in range(1, top + 1)}
+        mats = {0: aug} | {d: ref_full_matrix(res, d) for d in range(1, top + 1)}
         prev_ker = kernel_space(f, aug)
         for d in range(1, top + 1):
             im = Subspace(f, mats[d].shape[0], mats[d].T)
@@ -162,7 +247,7 @@ def ref_check_exactness(res, rng, probes, full_limit=30):
             entries.append(("wrap-in map has rank dim(A)",
                             rank(f, mats[res.depth]) == alg.dim, ""))
     for v in range(alg.quiver.n_vertices):
-        mats = {d: res.one_sided_matrix(v, d) for d in range(1, top + 1)}
+        mats = {d: ref_one_sided_matrix(res, v, d) for d in range(1, top + 1)}
         entries.append((f"one-sided complex at vertex {v}: im d1 = rad",
                         rank(f, mats[1]) == len(alg.window(v, None)) - 1, ""))
         for d in range(1, top):
@@ -362,6 +447,38 @@ def test_check_exactness_matches_loops(case, kind):
         assert not got["passed"]
 
 
+def with_spilled_factors(res):
+    """The same summands with every factor of every term plus the unit, so
+    that the factors leave their corners e_i A e_j: the matrices must still
+    keep to the windows of the summands."""
+    alg = res.algebra
+    f = alg.field
+    diffs = [None] + [[TensorExpr([(s, f.add(l, alg.one()), f.add(r, alg.one()))
+                                   for s, l, r in expr.terms]) for expr in gens]
+                      for gens in res.diffs[1:]]
+    return ResolutionSpec(alg, res.summands, diffs, periodic=res.periodic)
+
+
+@pytest.mark.parametrize("case,kind", CASES + [(case, "spilled") for case in INSTANCES])
+def test_sparse_matrices_match_the_dense_references(case, kind):
+    """The entries of full_matrix, at every vertex and in every degree
+    through the periodic wrap, and of full_matrix_aug are the dense loops',
+    and so is induced_matrix."""
+    if kind == "spilled":
+        _, res = variant(case, "clean")
+        res = with_spilled_factors(res)
+    else:
+        _, res = variant(case, kind)
+    top = res.depth + (1 if res.periodic else 0)
+    assert np.array_equal(dense(*res.full_matrix_aug()), ref_full_matrix_aug(res))
+    for d in range(1, 2 * top + 1 if res.periodic else top + 1):
+        assert np.array_equal(dense(*res.full_matrix(d)), ref_full_matrix(res, d))
+        for v in range(res.algebra.quiver.n_vertices):
+            assert np.array_equal(dense(*res.full_matrix(d, vertex=v)),
+                                  ref_one_sided_matrix(res, v, d))
+        assert np.array_equal(res.induced_matrix(d), ref_induced_matrix(res, d))
+
+
 @pytest.mark.parametrize("path", ["full", "one-sided"])
 def test_exactness_catches_a_nonzero_product_at_matching_ranks(path, monkeypatch):
     """d1 with its columns reversed has the same rank, so every rank count
@@ -369,14 +486,28 @@ def test_exactness_catches_a_nonzero_product_at_matching_ranks(path, monkeypatch
     _, res = variant("SD2B1(2,2)/GF(3)", "clean")
     f = res.algebra.field
     if path == "full":
-        name, where, failing = "full_matrix", (1,), "im d2 = ker d1 (full bimodule spaces)"
+        target, failing = None, "im d2 = ker d1 (full bimodule spaces)"
+        ref_name, ref_where = "ref_full_matrix", (1,)
     else:
-        name, where, failing = "one_sided_matrix", (0, 1), "one-sided exactness at vertex 0, degree 1"
-    build = getattr(res, name)
-    d1, d2 = build(*where), build(*where[:-1], 2)
-    assert matmul(f, d1[:, ::-1], d2).any()
-    monkeypatch.setattr(res, name,
-                        lambda *args: build(*args)[:, ::-1] if args == where else build(*args))
+        target, failing = 0, "one-sided exactness at vertex 0, degree 1"
+        ref_name, ref_where = "ref_one_sided_matrix", (0, 1)
+    build, ref_build = res.full_matrix, globals()[ref_name]
+
+    def patched(degree, vertex=None):
+        rows, cols, codes, shape = build(degree, vertex)
+        if (degree, vertex) == (1, target):
+            cols = shape[1] - 1 - cols
+        return rows, cols, codes, shape
+
+    def ref_patched(res, *where):
+        mat = ref_build(res, *where)
+        return mat[:, ::-1] if where == ref_where else mat
+
+    d2 = dense(*build(2, target))
+    assert matmul(f, dense(*patched(1, target)), d2).any()
+    monkeypatch.setattr(res, "full_matrix", patched)
+    # the reference reads the same reversed d1
+    monkeypatch.setitem(globals(), ref_name, ref_patched)
     got = res.check_exactness(random.Random(1), probes=10)
     failed = [(label, msg) for label, good, msg in got["entries"] if not good]
     r2 = rank(f, d2)
@@ -391,23 +522,33 @@ def test_exactness_catches_a_nonzero_product_at_matching_ranks(path, monkeypatch
     ("SD2B1", GF3, dict(k=3, s=4, c=0)),   # dim 31: one-sided path only
 ])
 def test_exactness_eliminates_each_matrix_once(family, field, params, monkeypatch):
-    """Every matrix the check builds goes through rref exactly once, and
-    nothing else does: no kernel or image subspace is formed."""
+    """Every system the check builds passes through block_eliminate exactly
+    once, and rref sees only its chunks: no kernel or image subspace is
+    formed."""
     res = make(family, field, **params).resolution
     res = ResolutionSpec(res.algebra, res.summands, res.diffs, periodic=res.periodic)
-    built, reduced = [], []
-    for name in ("full_matrix_aug", "full_matrix", "one_sided_matrix"):
-        def record(*args, build=getattr(res, name)):
-            built.append(build(*args))
+    built, reduced, chunks, rref_calls = [], [], [], []
+    for name in ("full_matrix_aug", "full_matrix"):
+        def record(*args, build=getattr(res, name), **kwargs):
+            built.append(build(*args, **kwargs))
             return built[-1]
         monkeypatch.setattr(res, name, record)
-    rref = field_module.rref
-    monkeypatch.setattr(field_module, "rref", lambda f, mat: reduced.append(mat) or rref(f, mat))
+    block_eliminate, rref = field_module.block_eliminate, field_module.rref
+
+    def eliminate(f, rows, cols, codes):
+        reduced.append(rows)
+        for chunk in block_eliminate(f, rows, cols, codes):
+            chunks.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(field_module, "block_eliminate", eliminate)
+    monkeypatch.setattr(field_module, "rref", lambda f, mat: rref_calls.append(mat) or rref(f, mat))
     assert res.check_exactness(random.Random(0), probes=5)["passed"]
     top = res.depth + res.periodic
     full = 1 + top if res.algebra.dim <= FULL_EXACTNESS_LIMIT else 0
     assert len(built) == full + res.algebra.quiver.n_vertices * top
-    assert sorted(map(id, reduced)) == sorted(map(id, built))
+    assert sorted(map(id, reduced)) == sorted(id(rows) for rows, _, _, _ in built)
+    assert len(rref_calls) == len(chunks) >= len(built)
 
 
 def ref_blocks(rows, cols):

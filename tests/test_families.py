@@ -130,6 +130,19 @@ def test_invalid_parameters_rejected():
         make("Q2B1", GF4, k=1, s=3, a=1, c=0)  # a = 1 excluded when k + s = 4
     with pytest.raises(FamilyError):
         make("NOPE", GF2, k=2)
+    # parameters that are not integers, and unknown or missing names
+    before = len(families._CACHE)
+    for params in (dict(k=2.5, s=2), dict(k=2, s=2.0), dict(k=2, s=2, c=1.5), dict(k="2", s=2)):
+        with pytest.raises(FamilyError, match="invalid parameters: .* is not an integer"):
+            make("SD2B1", GF3, **params)
+    with pytest.raises(FamilyError, match="is not an integer"):
+        make("Q2B1", GF4, k=1, s=3, a=np.float64(2), c=0)
+    with pytest.raises(FamilyError, match=r"for SD2B1: it takes k, s, c; got k, s, q"):
+        make("SD2B1", GF3, k=2, s=2, q=1)
+    with pytest.raises(FamilyError, match=r"for SD1A1: it takes k; got none"):
+        make("SD1A1", GF2)
+    assert len(families._CACHE) == before
+    assert make("SD2B1", GF3, k=np.int64(2), s=np.int32(2)).params["k"] == 2
 
 
 def test_scalar_codes_validated():

@@ -18,6 +18,7 @@ from tamecoh.field import (
     as_matrix,
     block_eliminate,
     block_kernel,
+    block_rank,
     expand_vector,
     image_basis,
     join,
@@ -248,6 +249,18 @@ def test_parse_descriptors():
         Field.parse("GF(6)")
     with pytest.raises(ValueError):
         Field.parse("GF(11)")
+
+
+def test_code_takes_integers_only():
+    gf3, gf4 = Field(3), Field(2, 2)
+    assert gf3.code(4) == gf3.code(np.int64(4)) == gf3.code(np.int8(1)) == 1
+    assert gf3.code(-1) == 2 and gf4.code(np.int64(3)) == 3
+    for f in (gf3, gf4):
+        for value in (1.5, 1.0, np.float64(2.0), "1", None):
+            with pytest.raises(ValueError, match="is not an integer"):
+                f.code(value)
+    with pytest.raises(ValueError, match="not a field code"):
+        gf4.code(4)
 
 
 def test_element_str_round_trip_notation():
@@ -555,11 +568,18 @@ def test_product_vanishes_matches_the_dense_product(p, m):
     results = set()
     for a, b in pairs:
         want = not matmul(f, a, b).any()
-        assert product_vanishes(f, a, b) == want, (a, b)
+        assert product_vanishes(f, sparse_of(a), sparse_of(b)) == want, (a, b)
         results.add(want)
     assert results == {True, False}
     with pytest.raises(ValueError, match="shape mismatch"):
-        product_vanishes(f, np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64))
+        product_vanishes(f, sparse_of(np.zeros((2, 3), dtype=np.int64)),
+                         sparse_of(np.zeros((2, 3), dtype=np.int64)))
+
+
+def sparse_of(mat):
+    """A dense matrix as (rows, cols, codes, shape) of its nonzero entries."""
+    rows, cols = np.nonzero(mat)
+    return rows, cols, mat[rows, cols], mat.shape
 
 
 def densify(f, rows, cols, codes, shape):
@@ -635,7 +655,7 @@ def test_block_elimination_matches_the_dense_path(p, m):
         dense = densify(f, *entries, shape)
         chunks = list(block_eliminate(f, *entries))
         got_rank = sum(len(pivots) for _, _, pivots in chunks)
-        assert got_rank == rank(f, dense)
+        assert got_rank == rank(f, dense) == block_rank(f, *entries)
         kernel = block_kernel(f, *entries, shape[1])
         assert kernel.shape == (shape[1] - got_rank, shape[1])
         assert Subspace(f, shape[1], kernel) == kernel_space(f, dense)

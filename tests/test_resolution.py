@@ -272,9 +272,18 @@ def test_wrong_quaternion_parameters_fail_checks():
 # ---------------------------------------------------------------------------
 
 
+def dense(rows, cols, codes, shape):
+    """The dense matrix of sparse entries (rows, cols, codes, shape)."""
+    out = np.zeros(shape, dtype=np.int64)
+    out[rows, cols] = codes
+    return out
+
+
 def test_augmentation_matrix_surjective():
     alg, res = trunc_resolution(GF3, 3)
-    assert rank(GF3, res.full_matrix_aug()) == alg.dim
+    aug = dense(*res.full_matrix_aug())
+    assert aug.shape[0] == alg.dim
+    assert rank(GF3, aug) == alg.dim
 
 
 def test_one_sided_degree_one_hits_radical():
@@ -283,7 +292,7 @@ def test_one_sided_degree_one_hits_radical():
     alg = inst.algebra
     for v in range(2):
         starts = sum(1 for w in alg.basis if w.source == v)
-        m = res.one_sided_matrix(v, 1)
+        m = dense(*res.full_matrix(1, vertex=v))
         assert rank(GF2, m) == starts - 1
 
 
