@@ -86,13 +86,11 @@ def _mult_terms(alg: Algebra, elems, left: bool, rows_ok, cols_ok):
     coefficient of u_k and structure constant it meets, where the masks
     rows_ok[k, row] and cols_ok[k, col] hold."""
     k, i = np.nonzero(elems)
-    support = np.unique(i)
-    consts = alg.table[support] if left else alg.table[:, support]
-    x, y, z = np.nonzero(consts)
-    a, e = join(np.searchsorted(support, i), x if left else y)
+    x, y, z = np.nonzero(alg.table)
+    a, e = join(i, x if left else y)
     k, row, col = k[a], z[e], (y if left else x)[e]
     keep = rows_ok[k, row] & cols_ok[k, col]
-    codes = alg.field.mul(elems[k, i[a]], consts[x[e], y[e], z[e]])
+    codes = alg.field.mul(elems[k, i[a]], alg.table[x[e], y[e], z[e]])
     return k[keep], row[keep], col[keep], codes[keep]
 
 
