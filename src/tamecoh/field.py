@@ -7,8 +7,12 @@ Elements are integer codes in ``range(q)``: the element ``sum d_i w^i`` (with
 portable.  For every supported field the class of ``x`` (code ``p``) is a
 primitive element; this is asserted when the tables are built.
 
-Every operation is a lookup in read-only int64 tables, built once per
-``(p, m)`` in a process and shared by all ``Field`` objects of that order:
+In characteristic 2 a code is the GF(2) digits of its element packed into
+bits, so ``add`` and ``sub`` are a bitwise XOR and ``neg`` is the identity
+(it returns a new value, never its argument); over GF(2) itself ``mul`` is a
+bitwise AND.  Every other operation is a lookup in read-only int64 tables,
+built once per ``(p, m)`` in a process and shared by all ``Field`` objects
+of that order:
 
 * ``add[a, b]`` (q x q) and ``neg[a]`` (length q); ``sub`` is
   ``add[a, neg[b]]``.
@@ -17,6 +21,10 @@ Every operation is a lookup in read-only int64 tables, built once per
   is zero from that index on, so products with 0 need no mask.
 * ``digits[a]`` (q x m), the GF(p) coordinates of ``a``, and ``mats[a]``
   (q x m x m), the GF(p) matrix of ``v -> a v`` in those coordinates.
+
+For odd p the sums and products stay lookups: ``%`` on int64 is an integer
+division, and ``(a + b) % p`` or ``a * b % p`` over an array costs more than
+the gather from a table of at most 7^4 codes.
 
 The last two give the GF(p)-expansion used by ``matmul``: a q-ary matrix
 product ``A @ B`` is the p-ary product of ``A`` with every entry replaced by
@@ -139,6 +147,12 @@ class Field:
         self.modulus = MODULI[(p, m)]
         self._pow_p = p ** np.arange(m, dtype=np.int64)
         self._add, self._neg, self.exp, self.log, self._digits, self._mats = _tables(p, m)
+        if p == 2:
+            # the digits of a code are its bits, and digit sums are mod 2
+            self.add = self.sub = np.bitwise_xor
+            self.neg = np.positive
+            if m == 1:
+                self.mul = np.bitwise_and
 
     def _mul_slow(self, a: int, b: int) -> int:
         """Schoolbook product, the reference the tables are checked against."""
@@ -176,6 +190,7 @@ class Field:
         return hash(("Field", self.p, self.m))
 
     # ---- element operations (work on ints and numpy arrays alike) ----
+    # the table versions; __init__ puts bitwise ufuncs in their place when p = 2
 
     def add(self, a, b):
         return self._add[a, b]
@@ -318,31 +333,39 @@ def _reduce_rows(field: Field, rows, basis, pivots) -> np.ndarray:
 
 
 def _eliminate(field: Field, r_mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Per-pivot elimination of r_mat in place; its nonzero RREF rows and pivots."""
+    """Per-pivot elimination of r_mat in place; its nonzero RREF rows and pivots.
+
+    Each pivot row is scaled in place when its leading entry is not 1, and
+    every other row x with a nonzero a in the pivot column becomes x - a row.
+    Over GF(2) every such a is 1, so the update is an XOR of the pivot row.
+    """
     n_rows, n_cols = r_mat.shape
+    gf2 = field.q == 2
     pivots: list[int] = []
     r = 0
     for c in range(n_cols):
         if r >= n_rows:
             break
-        col = r_mat[r:, c]
-        nz = np.nonzero(col)[0]
-        if len(nz) == 0:
+        nz = r_mat[r:, c].nonzero()[0]
+        if not len(nz):
             continue
         pr = r + int(nz[0])
         if pr != r:
             r_mat[[r, pr]] = r_mat[[pr, r]]
         # row r is zero left of column c, so only columns c.. change
-        piv = int(r_mat[r, c])
-        if piv != 1:
-            r_mat[r, c:] = field.mul(r_mat[r, c:], field.inv(piv))
-        col_vals = r_mat[:, c].copy()
-        col_vals[r] = 0
-        rows_nz = np.nonzero(col_vals)[0]
+        row = r_mat[r, c:]
+        if row[0] != 1:
+            row[:] = field.mul(row, field.inv(int(row[0])))
+        col = r_mat[:, c]
+        col[r] = 0
+        rows_nz = col.nonzero()[0]
+        col[r] = 1
         if len(rows_nz):
-            # x - a b as x + (-a) b: the negation runs over the column only
-            update = field.mul(field.neg(col_vals[rows_nz])[:, None], r_mat[r, c:][None, :])
-            r_mat[rows_nz, c:] = field.add(r_mat[rows_nz, c:], update)
+            if gf2:
+                r_mat[rows_nz, c:] ^= row
+            else:
+                r_mat[rows_nz, c:] = field.sub(r_mat[rows_nz, c:],
+                                               field.mul(col[rows_nz, None], row))
         pivots.append(c)
         r += 1
     return r_mat[:r], pivots

@@ -167,6 +167,14 @@ def test_tables_match_digitwise_reference(p, m):
     assert f.neg(np.arange(f.q)).tolist() == [ref_neg(f, x) for x in range(f.q)]
 
 
+@pytest.mark.parametrize("m", (1, 2, 3, 4))
+def test_neg_in_characteristic_2_returns_a_new_array(m):
+    f = Field(2, m)
+    a = np.arange(f.q)
+    got = f.neg(a)
+    assert np.array_equal(got, a) and not np.shares_memory(got, a)
+
+
 def test_tables_are_shared_small_and_int64():
     f, g = Field(7, 4), Field(7, 4)
     for name in ("_add", "_neg", "exp", "log", "_digits", "_mats"):
@@ -334,7 +342,11 @@ def test_rref_is_idempotent_and_preserves_row_space():
 
 def ref_rref(field, mat):
     """The per-pivot elimination that ``rref`` ran on every matrix before it
-    took rows in blocks, kept verbatim; it returns all rows."""
+    took rows in blocks, kept verbatim; it returns all rows.  It calls
+    ``Field.mul`` and ``Field.sub``, so it shares their arithmetic (the bitwise
+    ops in characteristic 2); that arithmetic is held to the digit-wise
+    reference by ``test_tables_match_digitwise_reference`` and
+    ``test_array_ops_match_reference_on_any_shape``."""
     r_mat = as_matrix(mat).copy()
     n_rows, n_cols = r_mat.shape
     pivots: list[int] = []
@@ -390,7 +402,23 @@ def rref_cases(f, rng):
     late_full[:b, 0] = 0
     zeros_between = f.rand(rng, (2 * b + 3, 16))
     zeros_between[b - 2: 2 * b + 1] = 0
-    return {
+    top = f.q - 1  # not 1 unless q = 2
+    # at column 1 the pivot is found in row 2, and row 0 above it is cleared
+    pivot_below = np.array([[1, top, 0, 1], [0, 0, top, 1], [0, top, 1, 0]])
+    small = {}
+    if f.q in (2, 3):
+        for i, entries in enumerate(itertools.product(range(f.q), repeat=6)):
+            small[f"2 x 3 number {i}"] = np.array(entries).reshape(2, 3)
+    return small | {
+        "leading entry not 1": np.array([[top, 1, 0], [top, 0, 1]]),
+        "pivot below row r": pivot_below,
+        "zero columns between pivots": np.array([[0, top, 0, 0, 1, 0, 0, top],
+                                                 [0, 1, 0, 0, top, 0, 0, 1],
+                                                 [0, 0, 0, 0, 0, 0, 0, top]]),
+        "0 x n": np.zeros((0, 5), dtype=np.int64),
+        "n x 0": np.zeros((5, 0), dtype=np.int64),
+        "1 x n": np.array([[0, 0, top, 1, 0]]),
+        "n x 1": np.array([[0], [top], [1], [0]]),
         "tall dense": f.rand(rng, (2 * b + 7, 16)),
         "tall sparse": sparse(3 * b, 16, 12),
         "rank-deficient": np.vstack([right, low_rank(2 * b, 16, 6)]),
