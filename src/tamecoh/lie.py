@@ -167,11 +167,14 @@ class LieAlgebra:
 
     # ---- subspace machinery ----
 
-    def bracket_space(self, a: Subspace, b: Subspace) -> Subspace:
-        """Span of [x, y] over the basis rows x of a and y of b.  The adjoint
+    def _brackets(self, a: Subspace, b: Subspace) -> np.ndarray:
+        """[x, y] over the basis rows x of a and y of b, as rows.  The adjoint
         matrices of a cost a n^3, the pairs a b n^2: pass the smaller first."""
-        pairs = matmul(self.field, b.rows, self._ads(a.rows))
-        return Subspace(self.field, self.dim, pairs.reshape(-1, self.dim))
+        return matmul(self.field, b.rows, self._ads(a.rows)).reshape(-1, self.dim)
+
+    def bracket_space(self, a: Subspace, b: Subspace) -> Subspace:
+        """Span of [x, y] over the basis rows x of a and y of b."""
+        return Subspace(self.field, self.dim, self._brackets(a, b))
 
     def _series(self, sub: Subspace, step) -> list:
         """[sub, step(sub), step(step(sub)), ...] until a term is zero or
@@ -186,7 +189,9 @@ class LieAlgebra:
 
     def ideal_closure(self, sub: Subspace) -> Subspace:
         full = self.full_space()
-        return self._series(sub, lambda cur: cur.sum(self.bracket_space(cur, full)))[-1]
+        # one elimination per step: cur and its brackets with L in one stack
+        return self._series(sub, lambda cur: Subspace(
+            self.field, self.dim, np.vstack([cur.rows, self._brackets(cur, full)])))[-1]
 
     def is_ideal(self, sub: Subspace) -> bool:
         return sub.contains_space(self.bracket_space(sub, self.full_space()))
@@ -211,7 +216,7 @@ class LieAlgebra:
         ``sub`` must be closed under the bracket; the series then descends
         and either reaches zero or stabilizes at a nonzero term.
         """
-        if not sub.contains_space(self.bracket_space(sub, sub)):
+        if not sub.contains(self._brackets(sub, sub)):
             raise AlgebraError("not a subalgebra")
         return self._series(sub, lambda term: self.bracket_space(term, sub))[-1].dim == 0
 
