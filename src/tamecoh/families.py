@@ -608,16 +608,20 @@ def make(family: str, field: Field, **params) -> FamilyInstance:
         raise FamilyError(
             f"unknown family {family!r}; choose one of {', '.join(FAMILY_IDS)}"
         )
-    key = (family, field.p, field.m, tuple(sorted(params.items())))
-    if key in _CACHE:
-        return _CACHE[key]
     build = _BUILDERS[family]
     try:
-        inspect.signature(build).bind(field, **params)
+        bound = inspect.signature(build).bind(field, **params)
     except TypeError:
         accepted = ", ".join(list(inspect.signature(build).parameters)[1:])
         raise FamilyError(f"invalid parameters for {family}: it takes {accepted}; "
                           f"got {', '.join(params) or 'none'}") from None
+    # defaults filled in, so a default left out and one given are one instance;
+    # integers checked first, so that 2.0 cannot hit the entry of 2
+    bound.apply_defaults()
+    key = (family, field.p, field.m,
+           tuple((name, _integer(name, v)) for name, v in list(bound.arguments.items())[1:]))
+    if key in _CACHE:
+        return _CACHE[key]
     data = build(field, **params)
     alg = data["algebra"]
     if "resolution" not in data:

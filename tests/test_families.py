@@ -145,6 +145,21 @@ def test_invalid_parameters_rejected():
     assert make("SD2B1", GF3, k=np.int64(2), s=np.int32(2)).params["k"] == 2
 
 
+def test_a_default_left_out_and_given_is_one_cached_instance(monkeypatch):
+    monkeypatch.setattr(families, "_CACHE", {})
+    inst = make("SD2B1", GF3, k=3, s=4)
+    assert make("SD2B1", GF3, k=3, s=4, c=0) is inst
+    assert make("SD2B1", GF3, s=4, k=3) is inst
+    assert len(families._CACHE) == 1
+    with pytest.raises(FamilyError, match="invalid parameters"):
+        make("SD2B1", GF3, k=3, s=4, c=0, d=1)
+    with pytest.raises(FamilyError, match="invalid parameters"):
+        make("SD2B1", GF3, k=3, s=1)
+    with pytest.raises(FamilyError, match="s=4.0 is not an integer"):
+        make("SD2B1", GF3, k=3, s=4.0)
+    assert len(families._CACHE) == 1
+
+
 def test_scalar_codes_validated():
     with pytest.raises(FamilyError, match="invalid parameters"):
         make("SD1A2", GF2, k=2, c=2, d=0)  # 2 is not a GF(2) code
