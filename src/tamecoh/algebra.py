@@ -2,11 +2,11 @@
 
 An algebra instance is built from a quiver and an ordered list of rewrite
 rules (monomial left side, linear-combination right side).  Irreducible words
-are enumerated breadth-first and taken as the basis; the multiplication table
-is filled by reducing concatenations to normal form.  ``validate`` certifies
-dimension, identity and associativity on every basis triple at every
-dimension, which together confirm that the rule set was confluent on
-everything the table touched.
+are enumerated breadth-first and taken as the basis; reducing concatenations
+to normal form gives the structure constants, kept only as the sorted list
+``table`` of nonzero products.  ``validate`` certifies dimension, identity
+and associativity on every basis triple at every dimension, which together
+confirm that the rule set was confluent on everything the list holds.
 
 Also here: centers, commutator subspaces, symmetrizing forms, and the
 power-map subspaces T_n = {x : x^(p^n) in span of commutators} together with
@@ -23,9 +23,10 @@ from .field import (
     Field,
     Section,
     Subspace,
-    join,
+    dense_sums,
     kernel_space,
     matmul,
+    nested_products,
     nonzero_sums,
     pack_vector,
     rank,
@@ -279,7 +280,7 @@ class Algebra:
         max_len = max((len(w) for w in self.basis), default=1)
         cap = length_cap if length_cap is not None else 6 * max_len + 6
         self.engine = RewriteEngine(field, quiver, self.rules, cap)
-        self._table: np.ndarray | None = None
+        self._table: tuple[np.ndarray, ...] | None = None
         self._center: Subspace | None = None
         self._commutator: Subspace | None = None
 
@@ -365,10 +366,11 @@ class Algebra:
         return self.element([(1, w)])
 
     @property
-    def table(self) -> np.ndarray:
+    def table(self) -> tuple[np.ndarray, ...]:
+        """The nonzero structure constants b_x b_y = sum of c b_z, as four
+        int64 arrays (x, y, z, c) sorted by (x, y, z), as ``np.nonzero`` orders."""
         if self._table is None:
-            n = self.dim
-            t = np.zeros((n, n, n), dtype=np.int64)
+            entries = []
             for i, wi in enumerate(self.basis):
                 for j, wj in enumerate(self.basis):
                     if wi.target != wj.source:
@@ -383,22 +385,24 @@ class Algebra:
                                 f"{self.quiver.word_str(wj)} reduced to non-basis "
                                 f"word {self.quiver.word_str(w2)}"
                             )
-                        t[i, j, idx] = c
-            self._table = t
+                        entries.append((i, j, idx, c))
+            entries.sort()
+            self._table = tuple(np.array(entries, dtype=np.int64).reshape(-1, 4).T.copy())
         return self._table
 
     def multiply(self, u, v) -> np.ndarray:
         """The product uv, or row by row for stacks that broadcast as in
-        ``field.matmul``.  The contraction runs over the basis pairs (x, y)
-        with b_x b_y nonzero, x and y in the union of the rows' supports."""
+        ``field.matmul``.  The contraction runs over the nonzero constants
+        b_x b_y, x and y in the union of the rows' supports, one row each."""
         f = self.field
         u, v = np.broadcast_arrays(np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64))
         shape = u.shape
         u, v = u.reshape(-1, self.dim), v.reshape(-1, self.dim)
-        su, sv = np.flatnonzero(u.any(axis=0)), np.flatnonzero(v.any(axis=0))
-        x, y = np.nonzero(self.table[su[:, None], sv].any(axis=2))
-        x, y = su[x], sv[y]
-        return matmul(f, f.mul(u[:, x], v[:, y]), self.table[x, y]).reshape(shape)
+        x, y, z, c = self.table
+        e = np.flatnonzero(u.any(axis=0)[x] & v.any(axis=0)[y])
+        rows = np.zeros((len(e), self.dim), dtype=np.int64)
+        rows[np.arange(len(e)), z[e]] = c[e]
+        return matmul(f, f.mul(u[:, x[e]], v[:, y[e]]), rows).reshape(shape)
 
     def power(self, u, e: int) -> np.ndarray:
         if e < 0:
@@ -414,17 +418,13 @@ class Algebra:
 
     def left_mult_matrix(self, u) -> np.ndarray:
         """Matrix of x -> ux."""
-        u = np.asarray(u, dtype=np.int64)
-        s = np.flatnonzero(u)
-        prod = matmul(self.field, u[s], self.table[s].reshape(len(s), self.dim**2))
-        return prod.reshape(self.dim, self.dim).T
+        x, y, z, c = self.table
+        return dense_sums(self.field, z, y, self.field.mul(np.asarray(u)[x], c), (self.dim,) * 2)
 
     def right_mult_matrix(self, u) -> np.ndarray:
         """Matrix of x -> xu."""
-        u = np.asarray(u, dtype=np.int64)
-        s = np.flatnonzero(u)
-        prod = matmul(self.field, u[s], self.table[:, s])  # one row per left factor
-        return prod.reshape(self.dim, self.dim).T
+        x, y, z, c = self.table
+        return dense_sums(self.field, z, x, self.field.mul(np.asarray(u)[y], c), (self.dim,) * 2)
 
     # ---- derived structures ----
 
@@ -437,8 +437,11 @@ class Algebra:
     def ad_matrix(self) -> np.ndarray:
         """The (n^2, n) matrix of u -> L_u - R_u: column i is ad(b_i), with
         entry (r, c) of that matrix at row r*n + c."""
-        t = self.table
-        return self.field.sub(t.transpose(2, 1, 0), t.transpose(2, 0, 1)).reshape(self.dim ** 2, self.dim)
+        f, n = self.field, self.dim
+        x, y, z, c = self.table
+        # b_x b_y = c b_z puts c in L_(b_x) at (z, y) and -c in R_(b_y) at (z, x)
+        return dense_sums(f, np.concatenate([z * n + y, z * n + x]), np.concatenate([x, y]),
+                          np.concatenate([c, f.neg(c)]), (n * n, n))
 
     def center(self) -> Subspace:
         if self._center is None:
@@ -447,19 +450,16 @@ class Algebra:
 
     def commutator_space(self) -> Subspace:
         if self._commutator is None:
-            t = self.table
-            f = self.field
-            rows = f.sub(t, np.transpose(t, (1, 0, 2))).reshape(-1, self.dim)
-            nz = rows[np.any(rows != 0, axis=1)]
-            self._commutator = Subspace(f, self.dim, nz)
+            n = self.dim
+            # row i n + j is [b_i, b_j], from column i of ad at row (r, j)
+            rows = self.ad_matrix().reshape(n, n, n).transpose(2, 1, 0).reshape(-1, n)
+            self._commutator = Subspace(self.field, n, rows[rows.any(axis=1)])
         return self._commutator
 
     def gram_matrix(self, lam) -> np.ndarray:
         """Gram matrix of the bilinear form (u, v) -> lam(u v)."""
-        lam = np.asarray(lam, dtype=np.int64)
-        s = np.flatnonzero(lam)
-        prod = matmul(self.field, lam[s], self.table[:, :, s].reshape(self.dim**2, len(s)).T)
-        return prod.reshape(self.dim, self.dim)
+        x, y, z, c = self.table
+        return dense_sums(self.field, x, y, self.field.mul(np.asarray(lam)[z], c), (self.dim,) * 2)
 
     def check_symmetrizing(self, lam) -> None:
         g = self.gram_matrix(lam)
@@ -514,21 +514,18 @@ class Algebra:
         return {"dim": self.dim, "associativity": "exhaustive"}
 
     def _check_associative(self) -> None:
-        """(b_i b_j) b_k = b_i (b_j b_k) for every basis triple.  The nonzero
-        products (x, y) -> z are joined with themselves on the middle index:
-        (i, j) -> l with (l, k) -> m on the left, (j, k) -> l with (i, l) -> m
-        on the right; the terms keyed (i, j, k, m) must sum alike."""
-        f = self.field
-        n = self.dim
-        x, y, z = np.nonzero(self.table)
-        c = self.table[x, y, z]
-        first, then = join(z, x)
-        left = ((x[first] * n + y[first]) * n + y[then]) * n + z[then]
-        left_c = f.mul(c[first], c[then])
-        first, then = join(z, y)
-        right = ((x[then] * n + x[first]) * n + y[first]) * n + z[then]
-        right_c = f.neg(f.mul(c[first], c[then]))
-        bad, _ = nonzero_sums(f, np.concatenate([left, right]), np.concatenate([left_c, right_c]))
+        """(b_i b_j) b_k = b_i (b_j b_k) for every basis triple.  The left
+        sides are ``nested_products`` of the nonzero products; the right
+        sides are those of the opposite product b_y * b_x, whose (b_k * b_j)
+        * b_i is b_i (b_j b_k).  The terms keyed (i, j, k, m) must sum alike."""
+        f, n = self.field, self.dim
+        x, y, z, c = self.table
+        i, j, k, m, left_c = nested_products(f, x, y, z, c)
+        left = ((i * n + j) * n + k) * n + m
+        k, j, i, m, right_c = nested_products(f, y, x, z, c)
+        right = ((i * n + j) * n + k) * n + m
+        bad, _ = nonzero_sums(f, np.concatenate([left, right]),
+                              np.concatenate([left_c, f.neg(right_c)]))
         if len(bad):
             i, j, k = (int(v) for v in np.unravel_index(bad[0] // n, (n, n, n)))
             raise AlgebraError(f"associativity fails at basis triple ({i}, {j}, {k})")

@@ -6,11 +6,11 @@ is composition with the next differential, so cohomology in each degree is
 a kernel modulo an image of the induced matrices.
 
 An independent check for degree one comes from derivations: the module also
-solves the Leibniz system directly on the multiplication table, with no
+solves the Leibniz system directly on the structure constants, with no
 reference to the resolution, and compares dimensions.  One builder,
 ``derivation_system``, gives the nonzero entries (row, column, code) of that
-system for any bilinear product given by structure constants, from joins
-over the nonzero constants; the Lie layer uses it for (rho, 1, 1)-
+system for any bilinear product given by its nonzero structure constants
+(x, y, z, c), from joins over them; the Lie layer uses it for (rho, 1, 1)-
 derivations.  No dense system is formed: the system falls apart into small
 independent blocks, which ``field.block_eliminate`` reduces chunk by chunk.
 Degree-one cochains become derivation matrices by recursion on word
@@ -102,14 +102,15 @@ def centre_cochain(resolution: ResolutionSpec, z) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# independent degree-one oracle: derivations from the multiplication table
+# independent degree-one oracle: derivations from the structure constants
 # ---------------------------------------------------------------------------
 
 
-def derivation_system(field: Field, table, pairs, lams):
+def derivation_system(field: Field, n: int, entries, pairs, lams):
     """Nonzero entries (row, column, code) of the system lam D(b_i b_j) -
-    D(b_i) b_j - b_i D(b_j) = 0 for a product with structure constants
-    ``table[i, j, :] = b_i b_j``, one triple for each lam in ``lams``.
+    D(b_i) b_j - b_i D(b_j) = 0 for a product on n basis elements with
+    nonzero structure constants ``entries`` = (x, y, z, c), b_x b_y = sum of
+    c b_z, one triple for each lam in ``lams``.
 
     ``pairs`` holds two equal-length index arrays, the left factors i and the
     right factors j.  Row p n + r is coordinate r of the rule for pair p.
@@ -119,11 +120,9 @@ def derivation_system(field: Field, table, pairs, lams):
     one position are summed in the field, and sums that vanish are dropped.
     Only the sums depend on lam, so the terms are found once for all lams.
     """
-    n = len(table)
     nn = n * n
     i, j = (np.asarray(a, dtype=np.int64) for a in pairs)
-    x, y, z = np.nonzero(table)
-    v = table[x, y, z]
+    x, y, z, v = entries
     # lam D(b_i b_j): lam b_i b_j at D[r, s], in row r for every r
     p, e = join(i * n + j, x * n + y)
     r = np.arange(n)
@@ -156,7 +155,7 @@ def derivation_space(alg: Algebra) -> Subspace:
     n = alg.dim
     _, gens = np.nonzero(alg.generators())
     pairs = np.repeat(np.arange(n), len(gens)), np.tile(gens, n)
-    entries, = derivation_system(alg.field, alg.table, pairs, [1])
+    entries, = derivation_system(alg.field, n, alg.table, pairs, [1])
     return Subspace(alg.field, n * n, block_kernel(alg.field, *entries, n * n))
 
 

@@ -170,14 +170,11 @@ class Field:
             return cls(int(p_s), int(m_s))
         q = int(inner)
         for p in SUPPORTED_PRIMES:
-            if q % p == 0:
-                m = 0
-                qq = q
-                while qq % p == 0:
-                    qq //= p
-                    m += 1
-                if qq == 1:
-                    return cls(p, m)
+            m = 1
+            while p ** m < q:
+                m += 1
+            if p ** m == q:
+                return cls(p, m)
         raise ValueError(f"{q} is not a supported prime power")
 
     def __repr__(self) -> str:
@@ -414,6 +411,18 @@ def nonzero_sums(field: Field, keys, codes) -> tuple[np.ndarray, np.ndarray]:
     uniq, group = np.unique(keys, return_inverse=True)
     sums = group_sums(field, group, codes, len(uniq))
     return uniq[sums != 0], sums[sums != 0]
+
+
+def dense_sums(field: Field, rows, cols, codes, shape) -> np.ndarray:
+    """The dense matrix whose entry (r, c) is the sum of the codes put there."""
+    return group_sums(field, rows * shape[1] + cols, codes, shape[0] * shape[1]).reshape(shape)
+
+
+def nested_products(field: Field, x, y, z, c):
+    """The terms (i, j, k, m, code) of (b_i b_j) b_k for nonzero structure
+    constants b_x b_y = sum of c b_z, joined on the middle element."""
+    first, then = join(z, x)
+    return x[first], y[first], y[then], z[then], field.mul(c[first], c[then])
 
 
 def group_sums(field: Field, group, codes, n_groups: int) -> np.ndarray:

@@ -34,7 +34,7 @@ import numpy as np
 from .algebra import AlgebraError
 from .cohomology import CohomologySpace, cochain_derivation, derivation_system
 from .field import (Field, Section, Subspace, as_matrix, block_rank, inverse,
-                    kernel_space, matmul, rank)
+                    kernel_space, matmul, nested_products, nonzero_sums, rank)
 from .fixtures import FixtureSet
 from .resolution import ResolutionSpec
 
@@ -93,9 +93,9 @@ def bracket(resolution: ResolutionSpec, u, v) -> np.ndarray:
 class LieAlgebra:
     """Lie algebra over GF(p^m) given by structure constants.
 
-    ``structure[i, j, :]`` holds [e_i, e_j] in basis coordinates.  The
-    constructor verifies alternation and the Jacobi identity unless
-    ``check`` is disabled.
+    ``structure[i, j, :]`` holds [e_i, e_j] in basis coordinates, as codes
+    in range(q).  The constructor verifies alternation and the Jacobi
+    identity unless ``check`` is disabled.
     """
 
     def __init__(self, field: Field, structure, names=None, check: bool = True):
@@ -105,6 +105,8 @@ class LieAlgebra:
         if self.structure.shape != (n, n, n):
             raise AlgebraError(
                 f"structure constants must be cubic, got {self.structure.shape}")
+        if np.any((self.structure < 0) | (self.structure >= field.q)):
+            raise ValueError(f"structure constants must be field codes in range({field.q})")
         self.dim = n
         if names is not None:
             names = tuple(names)
@@ -114,11 +116,9 @@ class LieAlgebra:
         if check:
             self._check_axioms()
 
-    def to_entries(self) -> list:
-        out = []
-        for i, j, k in zip(*np.nonzero(self.structure)):
-            out.append([int(i), int(j), int(k), int(self.structure[i, j, k])])
-        return out
+    def entries(self) -> tuple[np.ndarray, ...]:
+        """The nonzero structure constants (x, y, z, c), as ``Algebra.table``."""
+        return (*np.nonzero(self.structure), self.structure[self.structure != 0])
 
     # ---- the bracket and adjoint maps ----
 
@@ -148,20 +148,18 @@ class LieAlgebra:
         return Subspace(self.field, self.dim, np.eye(self.dim, dtype=np.int64))
 
     def _check_axioms(self) -> None:
-        f = self.field
-        n = self.dim
-        s = self.structure
+        f, n, s = self.field, self.dim, self.structure
         for i in range(n):
             if np.any(s[i, i]):
                 raise AlgebraError(f"[e_{i}, e_{i}] is not zero")
         for i, j in zip(*np.nonzero(np.any(s != f.neg(s.transpose(1, 0, 2)), axis=-1))):
             if i < j:
                 raise AlgebraError(f"bracket not antisymmetric at ({i},{j})")
-        # [[e_i, e_j], e_k] for every triple, then the cyclic sum
-        nested = matmul(f, s.reshape(n * n, n), s.reshape(n, n * n)).reshape(n, n, n, n)
-        jacobi = f.add(f.add(nested, nested.transpose(1, 2, 0, 3)),
-                       nested.transpose(2, 0, 1, 3))
-        for i, j, k in zip(*np.nonzero(np.any(jacobi, axis=-1))):
+        # [[e_i, e_j], e_k] counts toward the cyclic sums at (i, j, k), (k, i, j), (j, k, i)
+        i, j, k, m, codes = nested_products(f, *self.entries())
+        keys = [((a * n + b) * n + c) * n + m for a, b, c in ((i, j, k), (k, i, j), (j, k, i))]
+        bad, _ = nonzero_sums(f, np.concatenate(keys), np.tile(codes, 3))
+        for i, j, k in zip(*np.unravel_index(bad // n, (n, n, n))):
             if i < j < k:
                 raise AlgebraError(f"Jacobi identity fails on ({i},{j},{k})")
 
@@ -281,7 +279,8 @@ class LieAlgebra:
         impose all of it.  The systems share their terms, which are found
         once for all the rhos.
         """
-        systems = derivation_system(self.field, self.structure, np.triu_indices(self.dim, 1), rhos)
+        systems = derivation_system(self.field, self.dim, self.entries(),
+                                    np.triu_indices(self.dim, 1), rhos)
         return [self.dim ** 2 - block_rank(self.field, *s) for s in systems]
 
     def derivation_dim(self, rho) -> int:

@@ -12,12 +12,12 @@ word a1..an, the sum over j of prefix (x)_{a_j} suffix).  The 4-periodic
 local quaternion complex extends this with explicit degree-3 and degree-4
 maps and wraps around for higher degrees.
 
-Matrices are built sparse, as (rows, cols, codes, shape): the nonzero
-coefficients of the factors of all terms are joined with the nonzero
-structure constants, and products at one position are summed in the field.
+Matrices are built from terms: the nonzero coefficients of the factors of
+all terms are joined with the algebra's list of nonzero structure constants,
+and products at one position are summed in the field, into a dense matrix
+(``induced_matrix``) or a sparse one (rows, cols, codes, shape).
 ``full_matrix`` gives a differential on the underlying vector spaces; at a
-vertex v it gives S_v (x)_A Q, the slice of the full matrix on the basis
-pairs whose left factor is e_v.  ``induced_matrix`` is densified once.
+vertex v it gives S_v (x)_A Q, the slice on the pairs whose left factor is e_v.
 
 Verification covers the complex property (exact, on generators), minimality
 (all images in rad*Q + Q*rad), and exactness by ranks, taken through
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, AlgebraError
-from .field import block_rank, join, matmul, nonzero_sums, product_vanishes
+from .field import block_rank, dense_sums, join, matmul, nonzero_sums, product_vanishes
 
 # algebras up to this dimension also get exactness checked on the full
 # bimodule matrices, whose size grows as dim(A)^2 per summand
@@ -86,11 +86,11 @@ def _mult_terms(alg: Algebra, elems, left: bool, rows_ok, cols_ok):
     coefficient of u_k and structure constant it meets, where the masks
     rows_ok[k, row] and cols_ok[k, col] hold."""
     k, i = np.nonzero(elems)
-    x, y, z = np.nonzero(alg.table)
+    x, y, z, c = alg.table
     a, e = join(i, x if left else y)
     k, row, col = k[a], z[e], (y if left else x)[e]
     keep = rows_ok[k, row] & cols_ok[k, col]
-    codes = alg.field.mul(elems[k, i[a]], alg.table[x[e], y[e], z[e]])
+    codes = alg.field.mul(elems[k, i[a]], c[e])
     return k[keep], row[keep], col[keep], codes[keep]
 
 
@@ -254,7 +254,7 @@ class ResolutionSpec:
 
         A term l (x)_s r of generator t sends the value y on summand s to
         l y r, so entry ((t, x), (s, y)) sums [l z]_x [y r]_z over the terms
-        and z.  The entries are built sparse and densified once.
+        and z.  The terms are built sparse and summed into a dense matrix.
         """
         d = self._fold(degree)
         if d not in self._induced_cache:
@@ -268,12 +268,9 @@ class ResolutionSpec:
             k, z, y, yr = _mult_terms(alg, right, False, anywhere, dom[summand] >= 0)
             k2, x, z2, lz = _mult_terms(alg, left, True, cod[gen] >= 0, anywhere)
             p, q = join(k * alg.dim + z, k2 * alg.dim + z2)
-            rows, cols, codes, shape = _assemble(
+            self._induced_cache[d] = dense_sums(
                 alg.field, cod[gen[k2[q]], x[q]], dom[summand[k[p]], y[p]],
                 alg.field.mul(yr[p], lz[q]), (self.hom_dim(d), self.hom_dim(d - 1)))
-            mat = np.zeros(shape, dtype=np.int64)
-            mat[rows, cols] = codes
-            self._induced_cache[d] = mat
         return self._induced_cache[d]
 
     # -- verification ------------------------------------------------------
@@ -398,11 +395,10 @@ class ResolutionSpec:
         """Degree-0 augmentation u (x) w -> u w as a sparse matrix into A."""
         alg = self.algebra
         cols, n_cols, _, _ = self._pairs(0)
-        x, y, z = np.nonzero(alg.table)
+        x, y, z, c = alg.table
         col = cols[:, x, y].max(axis=0, initial=-1)
         inside = col >= 0
-        return _assemble(alg.field, z[inside], col[inside], alg.table[x, y, z][inside],
-                         (alg.dim, n_cols))
+        return _assemble(alg.field, z[inside], col[inside], c[inside], (alg.dim, n_cols))
 
     def _bilinearity_failures(self, draws) -> int:
         """How many probes (generator image, lam, mu, cochain values) break

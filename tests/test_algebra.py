@@ -1,5 +1,6 @@
 """Rewriting engine and algebra structure on small hand-checkable quotients."""
 
+import functools
 import itertools
 import random
 import re
@@ -330,8 +331,36 @@ def test_left_right_mult_matrices():
 # ---------------------------------------------------------------------------
 
 
-def ref_product(alg, u, v):
-    f, t = alg.field, alg.table
+def ref_dense_table(alg):
+    """The dense (n, n, n) table, t[i, j, :] = b_i b_j, built as the
+    ``table`` property built it before it became a list of nonzero products."""
+    n = alg.dim
+    t = np.zeros((n, n, n), dtype=np.int64)
+    for i, wi in enumerate(alg.basis):
+        for j, wj in enumerate(alg.basis):
+            if wi.target != wj.source:
+                continue
+            nf = alg.engine.normal_form_word(wi.arrows + wj.arrows)
+            for arrows, c in nf.items():
+                w2 = PathWord(arrows, wi.source, wj.target)
+                idx = alg.index.get(w2)
+                if idx is None:
+                    raise AlgebraError(
+                        f"product {alg.quiver.word_str(wi)}*"
+                        f"{alg.quiver.word_str(wj)} reduced to non-basis "
+                        f"word {alg.quiver.word_str(w2)}"
+                    )
+                t[i, j, idx] = c
+    return t
+
+
+# one build per algebra; callers copy before they change it
+ref_table = functools.cache(ref_dense_table)
+
+
+def ref_product(alg, u, v, t=None):
+    """uv by loops over the dense reference table, or over t if given."""
+    f, t = alg.field, ref_table(alg) if t is None else t
     out = [0] * alg.dim
     for i in np.flatnonzero(u):
         for j in np.flatnonzero(v):
@@ -344,6 +373,40 @@ def ref_product(alg, u, v):
 CONTRACTION_CASES = [("SD1A2", Field(2, 2), dict(k=2, c=2, d=3)),
                      ("Q1A2", Field(2, 3), dict(k=2, c=0, d=3)),
                      ("SD2B1", Field(3), dict(k=2, s=2, c=0))]
+
+
+def table_cases():
+    from test_certificates import DERIVATION_CASES
+    from test_golden import GRID
+
+    return GRID + CONTRACTION_CASES + DERIVATION_CASES
+
+
+def assert_table_is_the_dense_build(alg):
+    ref = ref_dense_table(alg)
+    x, y, z, c = alg.table
+    assert all(a.dtype == np.int64 for a in (x, y, z, c))
+    for got, want in zip((x, y, z), np.nonzero(ref)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(c, ref[x, y, z])
+
+
+@pytest.mark.parametrize("family,field,params", table_cases())
+def test_table_is_the_nonzero_entries_of_the_dense_build(family, field, params):
+    from tamecoh.families import make
+
+    assert_table_is_the_dense_build(make(family, field, **params).algebra)
+
+
+def test_table_is_sorted_where_normal_forms_are_not():
+    """k[t]/(t^3 - t^2 - t): t^2 t reduces to t^2 + t, the larger basis
+    index first, so the list is sorted after it is built."""
+    q = Quiver(1, [("t", 0, 0)])
+    alg = Algebra(Field(3), q, [Rule(q, Field(3), (0, 0, 0), [(1, (0, 0)), (1, (0,))])],
+                  expected_dim=3)
+    alg.validate()
+    assert list(alg.engine.normal_form_word((0, 0, 0))) == [(0, 0), (0,)]
+    assert_table_is_the_dense_build(alg)
 
 
 @pytest.mark.parametrize("family,field,params", CONTRACTION_CASES)
@@ -367,32 +430,34 @@ def test_products_and_matrices_match_loops(family, field, params):
             for j in range(n):
                 acc = 0
                 for k in range(n):
-                    acc = field.add(acc, field.mul(int(alg.table[i, j, k]), int(lam[k])))
+                    acc = field.add(acc, field.mul(int(ref_table(alg)[i, j, k]), int(lam[k])))
                 assert gram[i, j] == acc
 
 
 def corrupted_copy(alg):
     """A fresh copy of alg whose table loses one product b_i b_j of two
-    arrow paths, with b_i of length two or more."""
-    from tamecoh.algebra import Algebra
-
+    arrow paths, with b_i of length two or more, and the dense reference
+    with the same loss: its entries leave the list, its row the reference."""
     bad = Algebra(alg.field, alg.quiver, alg.rules)
-    t = bad.table.copy()
+    t = ref_table(alg).copy()
     for i, wi in enumerate(bad.basis):
         if len(wi) < 2:
             continue
         for j, wj in enumerate(bad.basis):
             if len(wj) and np.any(t[i, j]):
                 t[i, j] = 0
-                bad._table = t
-                return bad
+                x, y, z, c = bad.table
+                keep = (x != i) | (y != j)
+                bad._table = x[keep], y[keep], z[keep], c[keep]
+                return bad, t
     raise AssertionError("no product to corrupt")
 
 
-def ref_first_failing_triple(alg):
-    """The dense check ``validate`` made up to dim 30 before: for each i, all
-    (b_i b_j) b_k and b_i (b_j b_k) in two matmuls, the first failing (j, k)."""
-    t, f, n = alg.table, alg.field, alg.dim
+def ref_first_failing_triple(alg, t):
+    """The dense check ``validate`` made up to dim 30 before, on the dense
+    table t: for each i, all (b_i b_j) b_k and b_i (b_j b_k) in two matmuls,
+    the first failing (j, k)."""
+    f, n = alg.field, alg.dim
     for i in range(n):
         left = matmul(f, t[i], t.reshape(n, n * n)).reshape(n, n, n)
         right = matmul(f, t.reshape(n * n, n), t[i]).reshape(n, n, n)
@@ -402,10 +467,10 @@ def ref_first_failing_triple(alg):
     return None
 
 
-def triple_fails(alg, i, j, k):
+def triple_fails(alg, t, i, j, k):
     eye = np.eye(alg.dim, dtype=np.int64)
-    left = ref_product(alg, ref_product(alg, eye[i], eye[j]), eye[k])
-    right = ref_product(alg, eye[i], ref_product(alg, eye[j], eye[k]))
+    left = ref_product(alg, ref_product(alg, eye[i], eye[j], t), eye[k], t)
+    right = ref_product(alg, eye[i], ref_product(alg, eye[j], eye[k], t), t)
     return not np.array_equal(left, right)
 
 
@@ -422,12 +487,12 @@ def test_validate_names_a_failing_triple_of_a_corrupted_table(family, field, par
 
     alg = make(family, field, **params).algebra
     assert alg.validate()["associativity"] == path
-    bad = corrupted_copy(alg)
+    bad, t = corrupted_copy(alg)
     with pytest.raises(AlgebraError, match="associativity fails at") as err:
         bad.validate()
     i, j, k = (int(x) for x in re.findall(r"\d+", str(err.value))[-3:])
-    assert triple_fails(bad, i, j, k)
-    assert (i, j, k) == ref_first_failing_triple(bad)
+    assert triple_fails(bad, t, i, j, k)
+    assert (i, j, k) == ref_first_failing_triple(bad, t)
 
 
 ALL_FIELDS = [Field(p, m) for p in (2, 3, 5, 7) for m in (1, 2, 3, 4)]

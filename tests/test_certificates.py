@@ -368,14 +368,14 @@ def ref_check_bracket_table(space, fix):
 
 def with_corrupted_table(res):
     """The same complex over a copy of the algebra whose table loses one
-    product of two arrow paths."""
+    product of two arrow paths: the first in the list whose left factor
+    has length two or more, all of its entries."""
     alg = res.algebra
     bad = Algebra(alg.field, alg.quiver, alg.rules)
-    t = bad.table.copy()
-    i, j = next((i, j) for i, wi in enumerate(bad.basis) if len(wi) >= 2
-                for j, wj in enumerate(bad.basis) if len(wj) and np.any(t[i, j]))
-    t[i, j] = 0
-    bad._table = t
+    x, y, z, c = bad.table
+    e = next(e for e in range(len(x)) if len(bad.basis[x[e]]) >= 2 and len(bad.basis[y[e]]))
+    keep = (x != x[e]) | (y != y[e])
+    bad._table = x[keep], y[keep], z[keep], c[keep]
     return ResolutionSpec(bad, res.summands, res.diffs, relations=res.relations,
                           periodic=res.periodic)
 
@@ -575,7 +575,7 @@ def test_derivation_space_hands_rref_only_bounded_chunks(monkeypatch):
     alg = make("SD2B1", GF3, k=3, s=4, c=0).algebra
     n = alg.dim
     _, gens = np.nonzero(alg.generators())
-    (rows, cols, _), = derivation_system(alg.field, alg.table,
+    (rows, cols, _), = derivation_system(alg.field, n, alg.table,
                                          (np.repeat(np.arange(n), len(gens)), np.tile(gens, n)), [1])
     blocks = ref_blocks(rows, cols)
     assert max(w for _, w in blocks) == 29

@@ -257,6 +257,8 @@ def test_parse_descriptors():
         Field.parse("GF(6)")
     with pytest.raises(ValueError):
         Field.parse("GF(11)")
+    with pytest.raises(ValueError, match="0 is not a supported prime power"):
+        Field.parse("GF(0)")
 
 
 def test_code_takes_integers_only():

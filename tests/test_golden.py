@@ -60,7 +60,7 @@ def grid_record(family, field, params) -> dict:
         "params": params,
         "hh_dims": [hh(res, n).dim if n != 1 else space.dim
                     for n in range(top + 1)],
-        "lie_entries": lie.to_entries(),
+        "lie_entries": [[int(a) for a in entry] for entry in zip(*lie.entries())],
         "fingerprint": dataclasses.asdict(fp),
     }
 

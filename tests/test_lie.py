@@ -223,6 +223,73 @@ def test_axioms_reject_a_jacobi_violation(field):
         LieAlgebra(field, s)
 
 
+def ref_jacobi_failure(lie):
+    """The dense check the constructor made before: [[e_i, e_j], e_k] for
+    every triple as one (n, n, n, n) array, then the cyclic sum.  The
+    message for the first failing triple i < j < k, or None."""
+    f, n, s = lie.field, lie.dim, lie.structure
+    nested = matmul(f, s.reshape(n * n, n), s.reshape(n, n * n)).reshape(n, n, n, n)
+    jacobi = f.add(f.add(nested, nested.transpose(1, 2, 0, 3)),
+                   nested.transpose(2, 0, 1, 3))
+    for i, j, k in zip(*np.nonzero(np.any(jacobi, axis=-1))):
+        if i < j < k:
+            return f"Jacobi identity fails on ({i},{j},{k})"
+    return None
+
+
+def alternating(f, n, values):
+    """The alternating (n, n, n) tensor with [e_i, e_j] = values[p] on the
+    p-th pair i < j."""
+    s = np.zeros((n, n, n), dtype=np.int64)
+    i, j = np.triu_indices(n, 1)
+    s[i, j] = values
+    s[j, i] = f.neg(s[i, j])
+    return s
+
+
+def jacobi_outcome(f, s):
+    try:
+        LieAlgebra(f, s)
+    except AlgebraError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("field,n,sample", [(GF2, 3, None), (GF3, 3, 500),
+                                            (GF2, 4, 300), (GF4, 4, 300)])
+def test_jacobi_check_matches_the_dense_array(field, n, sample):
+    """Every alternating tensor on F^3 over GF(2), and seeded samples: the
+    check through ``nested_products`` accepts and rejects as the dense n^4
+    check did, and names the same triple.  At dim 4 a bracket coordinate is
+    zero three times in four, so that some samples satisfy Jacobi."""
+    pairs = n * (n - 1) // 2
+    if sample is None:
+        draws = itertools.product(range(field.q), repeat=pairs * n)
+    else:
+        rng = random.Random(15 + field.q + n)
+        draws = [field.rand(rng, pairs * n) for _ in range(sample)]
+        if n == 4:
+            draws = [v * np.array([rng.random() < 0.25 for _ in v]) for v in draws]
+    outcomes = set()
+    for values in draws:
+        s = alternating(field, n, np.reshape(values, (pairs, n)))
+        got = jacobi_outcome(field, s)
+        assert got == ref_jacobi_failure(LieAlgebra(field, s, check=False))
+        outcomes.add(got)
+    # both verdicts occur, and at dim 4 more than one failing triple
+    assert None in outcomes and len(outcomes) >= (2 if n == 3 else 3)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF4])
+def test_structure_constants_must_be_field_codes(field):
+    for bad in (field.q, -1, field.q + 1):
+        s = np.zeros((2, 2, 2), dtype=np.int64)
+        s[0, 1, 1] = s[1, 0, 1] = bad
+        for check in (True, False):
+            with pytest.raises(ValueError, match=re.escape(f"codes in range({field.q})")):
+                LieAlgebra(field, s, check=check)
+
+
 def kron(f, a, b):
     """Kronecker product with entries multiplied in the field."""
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
@@ -247,10 +314,10 @@ def ref_derivation_system(lie, lam, mu, nu):
     return np.vstack(blocks)
 
 
-def dense_system(f, table, pairs, lam):
+def dense_system(f, lie, pairs, lam):
     """The entries of ``derivation_system`` as a dense (pairs * n, n^2) array."""
-    n = len(table)
-    (rows, cols, codes), = derivation_system(f, table, pairs, [lam])
+    n = lie.dim
+    (rows, cols, codes), = derivation_system(f, n, lie.entries(), pairs, [lam])
     out = np.zeros((len(pairs[0]) * n, n * n), dtype=np.int64)
     out[rows, cols] = codes
     return out
@@ -264,7 +331,7 @@ def test_derivation_system_matches_block_loop(case):
         pairs = np.triu_indices(alg.dim, 1)
         for rho in f.elements():
             ref = kernel_space(f, ref_derivation_system(alg, rho, 1, 1))
-            assert kernel_space(f, dense_system(f, alg.structure, pairs, rho)) == ref
+            assert kernel_space(f, dense_system(f, alg, pairs, rho)) == ref
             assert alg.derivation_dim(rho) == ref.dim
 
 
@@ -288,12 +355,12 @@ def test_derivation_system_keeps_exactly_the_rows_that_can_be_nonzero(case):
                          for idx in np.ndindex(n, n, n)], dtype=bool).reshape(n, n, n)
         pairs = tuple(a.ravel() for a in np.indices((n, n)))
         # row (i n + j) n + r of the densified entries is row (i, j, r)
-        dense = dense_system(f, alg.structure, pairs, lam).reshape(n, n, n, n * n)
+        dense = dense_system(f, alg, pairs, lam).reshape(n, n, n, n * n)
         assert np.array_equal(dense[mask], full[mask])
         assert not full[~mask].any() and not dense[~mask].any()
         # a row whose terms cancel has no entries, so the rows with entries
         # are exactly the nonzero rows, all of them among those kept above
-        (rows, _, codes), = derivation_system(f, alg.structure, pairs, [lam])
+        (rows, _, codes), = derivation_system(f, n, alg.entries(), pairs, [lam])
         assert np.array_equal(np.unique(rows), np.flatnonzero(full.any(axis=3)))
         assert codes.all()
 
