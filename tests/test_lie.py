@@ -7,7 +7,8 @@ seeded random changes of basis of HH^1 Lie algebras over GF(2), GF(3), GF(4)
 and GF(8).  The series, ideal closures, nilpotency of subalgebras and
 quotients are held to the term-by-term loops they were first written as,
 and the named-basis path of ``from_cohomology`` to its per-pair fill and to
-a change of basis of the canonical algebra.  The Leibniz builder is held to
+a change of basis of the canonical algebra.  The Jacobi check is held to
+the dense n^4 array it replaced.  The Leibniz builder is held to
 its block-by-block Kronecker loop, the derivation probes to a brute force
 over every rho, and the second-derived weights to L/D^2 of HH^1.  The
 nilradical is held to a brute force over every subspace, on every Lie
