@@ -506,6 +506,8 @@ class Subspace:
         if vectors is None or len(vectors) == 0:
             vectors = np.zeros((0, ambient_dim), dtype=np.int64)
         self.rows, self._pivots = rref(field, vectors)
+        if self.rows.shape[1] != ambient_dim:
+            raise ValueError(f"rows of width {self.rows.shape[1]} in a space of dim {ambient_dim}")
 
     @property
     def dim(self) -> int:

@@ -17,11 +17,13 @@ contraction, the adjoint matrices of a stack of rows against the structure
 constants; a subspace bracket contracts one side, then the other.  Lower
 central and derived series, ideal closures and the nilpotency test of a
 subalgebra are one descending-series loop with different steps.  Beside
-them: centre, Killing form, the largest nilpotent ideal, quotients by
-ideals, and dimensions of (rho, 1, 1)-derivation spaces, whose Leibniz
-system comes from the builder behind the derivation oracle of
-``cohomology``.  A fingerprint bundles the invariants so two algebras can
-be compared, and ``distinguish`` names the first invariant that differs.
+them: centre, Killing form, the largest nilpotent ideal (whose candidate
+elements are screened first, a stack at a time, by squaring their adjoint
+matrices until the nilpotent ones are zero), quotients by ideals, and
+dimensions of (rho, 1, 1)-derivation spaces, whose Leibniz system comes
+from the builder behind the derivation oracle of ``cohomology``.  A
+fingerprint bundles the invariants so two algebras can be compared, and
+``distinguish`` names the first invariant that differs.
 """
 
 from __future__ import annotations
@@ -100,7 +102,10 @@ class LieAlgebra:
 
     def __init__(self, field: Field, structure, names=None, check: bool = True):
         self.field = field
-        self.structure = np.asarray(structure, dtype=np.int64)
+        raw = np.asarray(structure)
+        self.structure = raw.astype(np.int64)
+        if np.any(self.structure != raw):
+            raise ValueError("structure constants must be integers")
         n = self.structure.shape[0]
         if self.structure.shape != (n, n, n):
             raise AlgebraError(
@@ -230,6 +235,14 @@ class LieAlgebra:
     def killing_rank(self) -> int:
         return rank(self.field, self.killing_matrix())
 
+    def _ad_nilpotent(self, xs) -> np.ndarray:
+        """Whether ad x is nilpotent, for each row x of xs: (ad x)^(2^t) = 0
+        with 2^t >= n, after t squarings of the whole stack at once."""
+        powers = self._ads(xs)
+        for _ in range((self.dim - 1).bit_length()):
+            powers = matmul(self.field, powers, powers)
+        return ~powers.any(axis=(1, 2))
+
     def nilradical(self, limit: int = 10 ** 6):
         """The largest nilpotent ideal, or None when out of budget.
 
@@ -239,13 +252,22 @@ class LieAlgebra:
         current one plus some coset, and the single-element extension it
         generates is again a nilpotent ideal.  When the quotient has more
         than ``limit`` lines the answer is left undetermined.
+
+        Every x in a nilpotent ideal I has ad x nilpotent: ad x maps L into
+        I, and (ad x)^(c+1) maps L into the (c+1)-th term of I's lower
+        central series, zero for c large.  A closure holds its candidate, so
+        candidates whose ad is not nilpotent are dropped, a stack at a time,
+        before any closure is built.
         """
         f = self.field
         n = self.dim
         q_size = f.p ** f.m
+
+        def survivors(xs):
+            return xs[self._ad_nilpotent(xs)]
+
         ideal = Subspace(f, n)
-        for i in range(n):
-            e = self.basis_vector(i)
+        for e in survivors(np.eye(n, dtype=np.int64)):
             if ideal.contains(e):
                 continue
             cand = self.ideal_closure(ideal.sum(Subspace(f, n, [e])))
@@ -259,13 +281,10 @@ class LieAlgebra:
             if lines > limit:
                 return None
             sec = Section(f, ideal)
-            grown = None
-            for coords in _projective_reps(f, codim):
-                u = sec.lift(coords)
-                cand = self.ideal_closure(ideal.sum(Subspace(f, n, [u])))
-                if self.subspace_nilpotent(cand):
-                    grown = cand
-                    break
+            closures = (self.ideal_closure(ideal.sum(Subspace(f, n, [u])))
+                        for coords in _chunks(_projective_reps(f, codim))
+                        for u in survivors(matmul(f, coords, sec.comp)))
+            grown = next((c for c in closures if self.subspace_nilpotent(c)), None)
             if grown is None:
                 return ideal
             ideal = grown
@@ -279,8 +298,12 @@ class LieAlgebra:
         impose all of it.  The systems share their terms, which are found
         once for all the rhos.
         """
+        rhos = list(rhos)
+        for rho in rhos:
+            if rho not in range(self.field.q):
+                raise ValueError(f"derivation probe {rho!r} is not a field code in {self.field}")
         systems = derivation_system(self.field, self.dim, self.entries(),
-                                    np.triu_indices(self.dim, 1), rhos)
+                                    np.triu_indices(self.dim, 1), [int(rho) for rho in rhos])
         return [self.dim ** 2 - block_rank(self.field, *s) for s in systems]
 
     def derivation_dim(self, rho) -> int:
@@ -321,6 +344,15 @@ def _projective_reps(f: Field, dim: int):
             v[lead] = 1
             v[lead + 1:] = tail
             yield v
+
+
+def _chunks(rows):
+    """The rows of an iterator, stacked 16, 32, ... and then 4096 at a time:
+    an early row is reached after little work, a late one in few calls."""
+    size = 16
+    while chunk := list(itertools.islice(rows, size)):
+        yield np.array(chunk)
+        size = min(2 * size, 4096)
 
 
 def verify_iso(l1: LieAlgebra, l2: LieAlgebra, mat) -> bool:
@@ -481,11 +513,11 @@ class Fingerprint:
 
 def fingerprint(lie: LieAlgebra, probes=(), nilradical_limit: int = 10 ** 6
                 ) -> Fingerprint:
+    probes = list(probes)
+    der_dims = tuple(zip(map(int, probes), lie.derivation_dims(probes)))
     lower = lie.lower_central_series()
     derived = tuple(s.dim for s in lie.derived_series()[1:])
     nilrad = lie.nilradical(limit=nilradical_limit)
-    probes = [int(rho) for rho in probes]
-    der_dims = tuple(zip(probes, lie.derivation_dims(probes)))
     return Fingerprint(
         dim=lie.dim,
         lower_central_dims=tuple(s.dim for s in lower[1:]),
