@@ -103,7 +103,8 @@ class LieAlgebra:
     def __init__(self, field: Field, structure, names=None, check: bool = True):
         self.field = field
         raw = np.asarray(structure)
-        self.structure = raw.astype(np.int64)
+        with np.errstate(invalid="ignore"):  # NaN and inf fail the test below
+            self.structure = raw.astype(np.int64)
         if np.any(self.structure != raw):
             raise ValueError("structure constants must be integers")
         n = self.structure.shape[0]

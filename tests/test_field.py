@@ -456,6 +456,16 @@ def test_subspace_canonical_under_row_mixing():
         assert Subspace(f, 5, matmul(f, mixer, base)) == s0
 
 
+def test_subspace_rows_must_have_the_ambient_width():
+    f = Field(2)
+    for rows in ([[1, 0]], [[1, 0, 0, 1]], np.zeros((2, 4), dtype=np.int64)):
+        with pytest.raises(ValueError, match="rows of width [24] in a space of dim 3"):
+            Subspace(f, 3, rows)
+    assert Subspace(f, 3, [[1, 0, 1]]).dim == 1
+    assert Subspace(f, 3, []).dim == 0
+    assert Subspace(f, 3, np.zeros((2, 3), dtype=np.int64)).dim == 0
+
+
 def test_kernel_basis_annihilates_and_has_right_dim():
     rng = random.Random(9)
     for p, m in [(2, 1), (3, 1), (2, 2), (5, 1)]:

@@ -38,6 +38,7 @@ from tamecoh.lie import (
     second_derived_weights,
     verify_iso,
 )
+from test_golden import GRID
 
 GF2, GF3, GF4, GF5, GF8 = Field(2), Field(3), Field(2, 2), Field(5), Field(2, 3)
 GF7, GF9 = Field(7), Field(3, 2)
@@ -289,6 +290,15 @@ def test_structure_constants_must_be_field_codes(field):
         for check in (True, False):
             with pytest.raises(ValueError, match=re.escape(f"codes in range({field.q})")):
                 LieAlgebra(field, s, check=check)
+    good = diagonal_model(field, [1, field.q - 1]).structure
+    fractional = good.astype(np.float64)
+    fractional[0, 1, 1] += 0.5
+    for bad in (good + 0.5, fractional, np.where(good > 0, np.nan, 0.0)):
+        for check in (True, False):
+            with pytest.raises(ValueError, match="structure constants must be integers"):
+                LieAlgebra(field, bad, check=check)
+    # integer values are accepted whatever the dtype
+    assert np.array_equal(LieAlgebra(field, good.astype(np.float64)).structure, good)
 
 
 def kron(f, a, b):
@@ -364,6 +374,18 @@ def test_derivation_system_keeps_exactly_the_rows_that_can_be_nonzero(case):
         (rows, _, codes), = derivation_system(f, n, alg.entries(), pairs, [lam])
         assert np.array_equal(np.unique(rows), np.flatnonzero(full.any(axis=3)))
         assert codes.all()
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF4])
+def test_derivation_probes_must_be_field_codes(field):
+    lie = diagonal_model(field, [1, 1])
+    assert len(lie.derivation_dims(range(field.q))) == field.q
+    for bad in (field.q, -1, field.q + 1):
+        message = re.escape(f"derivation probe {bad} is not a field code in GF({field.q})")
+        with pytest.raises(ValueError, match=message):
+            lie.derivation_dims([bad])
+        with pytest.raises(ValueError, match=message):
+            fingerprint(lie, probes=[1, bad])
 
 
 def test_zero_dimensional_lie_algebra_fingerprint():
@@ -606,6 +628,158 @@ def test_nilradical_matches_brute_force_over_subspaces(field, n, sample):
         mat = random_invertible(field, n, rng)
         assert lie.conjugate(mat).nilradical() == Subspace(
             field, n, matmul(field, want.rows, inverse(field, mat).T))
+
+
+# ---------------------------------------------------------------------------
+# the ad-nilpotency filter of the nilradical
+# ---------------------------------------------------------------------------
+
+
+def ref_projective_reps(f, dim):
+    codes = list(f.elements())
+    for lead in range(dim):
+        for tail in itertools.product(codes, repeat=dim - lead - 1):
+            v = np.zeros(dim, dtype=np.int64)
+            v[lead] = 1
+            v[lead + 1:] = tail
+            yield v
+
+
+def ref_nilradical_search(lie, limit, steps=None):
+    """The nilradical as it was before candidates were filtered by their ad,
+    verbatim but for ``steps``, which collects the ideal at the start of
+    each line search."""
+    f = lie.field
+    n = lie.dim
+    q_size = f.p ** f.m
+    ideal = Subspace(f, n)
+    for i in range(n):
+        e = lie.basis_vector(i)
+        if ideal.contains(e):
+            continue
+        cand = lie.ideal_closure(ideal.sum(Subspace(f, n, [e])))
+        if lie.subspace_nilpotent(cand):
+            ideal = cand
+    while True:
+        if steps is not None:
+            steps.append(ideal)
+        codim = n - ideal.dim
+        if codim == 0:
+            return ideal
+        lines = (q_size ** codim - 1) // (q_size - 1)
+        if lines > limit:
+            return None
+        sec = Section(f, ideal)
+        grown = None
+        for coords in ref_projective_reps(f, codim):
+            u = sec.lift(coords)
+            cand = lie.ideal_closure(ideal.sum(Subspace(f, n, [u])))
+            if lie.subspace_nilpotent(cand):
+                grown = cand
+                break
+        if grown is None:
+            return ideal
+        ideal = grown
+
+
+def nilpotent_closures(monkeypatch, search, *args):
+    """search(*args), and the closures it found nilpotent, in the order found."""
+    found = []
+    test = LieAlgebra.subspace_nilpotent
+
+    def spy(lie, sub):
+        nilpotent = test(lie, sub)
+        if nilpotent:
+            found.append(sub)
+        return nilpotent
+
+    with monkeypatch.context() as m:
+        m.setattr(LieAlgebra, "subspace_nilpotent", spy)
+        return search(*args), found
+
+
+# the pipeline instances of perfbench/workloads.py, then one whose seeded
+# conjugates make the line search grow the ideal after the greedy pass
+PIPELINE = [
+    ("SD2B1", GF2, dict(k=6, s=6, c=0)), ("SD2B1", GF3, dict(k=3, s=4, c=0)),
+    ("SD2B1", GF3, dict(k=4, s=3, c=0)), ("SD2B1", GF5, dict(k=3, s=3, c=0)),
+    ("D1A2", GF2, dict(k=6, d=0)), ("SD1A2", GF2, dict(k=7, c=1, d=0)),
+    ("Q1A2", GF4, dict(k=3, c=0, d=2)), ("Q1A2", GF4, dict(k=3, c=0, d=3)),
+    ("SD1A2", GF4, dict(k=3, c=2, d=1)), ("SD1A2", GF4, dict(k=3, c=3, d=1)),
+    ("Q1A2", GF4, dict(k=5, c=0, d=2)), ("SD1A2", GF4, dict(k=5, c=2, d=1)),
+    ("Q1A2", GF8, dict(k=2, c=0, d=3)), ("SD1A2", GF8, dict(k=2, c=2, d=1)),
+    ("SD2B1", GF4, dict(k=3, s=2, c=2)), ("SD2B1", GF3, dict(k=2, s=2, c=0)),
+    ("SD1A2", GF4, dict(k=4, c=2, d=1)),
+]
+NILRADICAL_CASES = list(dict.fromkeys(
+    (family, field, tuple(params.items())) for family, field, params in GRID + PIPELINE))
+
+
+@pytest.mark.parametrize("family,field,params", NILRADICAL_CASES, ids=[
+    f"{fam}({','.join(str(v) for _, v in ps)})/{f}" for fam, f, ps in NILRADICAL_CASES])
+def test_nilradical_matches_the_unfiltered_search(family, field, params, monkeypatch):
+    """Row for row, and None for None, at limit 0 and at the default, on
+    HH^1 in its canonical basis and in three seeded changes of basis; the
+    nilpotent closures are found in the same order, so the ideal grows
+    through the same chain."""
+    lie = hh1_algebra(family, field, **dict(params))
+    conjugates = [lie.conjugate(random_invertible(field, lie.dim, random.Random(seed)))
+                  for seed in range(3)]
+    line_search_grew = []
+    for alg in [lie] + conjugates:
+        for limit in (0, 10 ** 6):
+            steps = []
+            want, want_chain = nilpotent_closures(
+                monkeypatch, ref_nilradical_search, alg, limit, steps)
+            got, chain = nilpotent_closures(monkeypatch, alg.nilradical, limit)
+            assert got == want
+            assert chain == want_chain
+        line_search_grew.append(steps[-1].dim > steps[0].dim)
+    if (family, field, params) == NILRADICAL_CASES[-1]:
+        assert line_search_grew == [False, True, True, True]
+
+
+def ref_ad_nilpotent(lie, x):
+    """Whether (ad x)^n = 0, with ad x multiplied out n times, entry by entry."""
+    f, n = lie.field, lie.dim
+    ad = ref_ad(lie, x)
+    power = np.eye(n, dtype=np.int64)
+    for _ in range(n):
+        nxt = np.zeros((n, n), dtype=np.int64)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    nxt[i, j] = f.add(int(nxt[i, j]), f.mul(int(power[i, k]), int(ad[k, j])))
+        power = nxt
+    return not power.any()
+
+
+def filiform(f, n):
+    """[e_0, e_i] = e_(i+1) for 0 < i < n - 1: ad e_0 is nilpotent of index n - 1."""
+    s = np.zeros((n, n, n), dtype=np.int64)
+    for i in range(1, n - 1):
+        s[0, i, i + 1], s[i, 0, i + 1] = 1, f.neg(1)
+    return LieAlgebra(f, s)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF4, GF8], ids=str)
+def test_ad_nilpotent_matches_powers_of_ad(field):
+    """On seeded random rows, on conjugates of the filiform algebras (every
+    ad a conjugate of a strictly triangular matrix, of index up to n - 1) and
+    at dims 0 and 1: both answers occur, and every one is the loop's."""
+    rng = random.Random(field.q)
+    lies = [LieAlgebra(field, np.zeros((n, n, n), dtype=np.int64)) for n in (0, 1)]
+    lies += [filiform(field, n) for n in range(2, 8)]
+    lies += [CASES[case]() for case in sorted(CASES) if case.endswith(f"/GF({field.q})")]
+    answers = set()
+    for lie in lies:
+        n = lie.dim
+        for alg in (lie, lie.conjugate(random_invertible(field, n, rng))):
+            rows = np.vstack([np.eye(n, dtype=np.int64), field.rand(rng, (6, n))])
+            got = alg._ad_nilpotent(rows)
+            assert got.tolist() == [ref_ad_nilpotent(alg, x) for x in rows]
+            answers.update(got.tolist())
+    assert answers == {True, False}
 
 
 # ---------------------------------------------------------------------------
