@@ -304,7 +304,7 @@ class LieAlgebra:
             if rho not in range(self.field.q):
                 raise ValueError(f"derivation probe {rho!r} is not a field code in {self.field}")
         systems = derivation_system(self.field, self.dim, self.entries(),
-                                    np.triu_indices(self.dim, 1), [int(rho) for rho in rhos])
+                                    np.triu_indices(self.dim, 1), rhos)
         return [self.dim ** 2 - block_rank(self.field, *s) for s in systems]
 
     def derivation_dim(self, rho) -> int:
@@ -514,8 +514,8 @@ class Fingerprint:
 
 def fingerprint(lie: LieAlgebra, probes=(), nilradical_limit: int = 10 ** 6
                 ) -> Fingerprint:
-    probes = list(probes)
-    der_dims = tuple(zip(map(int, probes), lie.derivation_dims(probes)))
+    probes = [int(rho) for rho in probes]
+    der_dims = tuple(zip(probes, lie.derivation_dims(probes)))
     lower = lie.lower_central_series()
     derived = tuple(s.dim for s in lie.derived_series()[1:])
     nilrad = lie.nilradical(limit=nilradical_limit)
