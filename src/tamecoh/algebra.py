@@ -510,10 +510,10 @@ class Algebra:
         eye = np.eye(self.dim, dtype=np.int64)
         if not (np.array_equal(lm, eye) and np.array_equal(rm, eye)):
             raise AlgebraError("sum of vertex idempotents is not an identity")
-        self._check_associative()
+        self.check_associative()
         return {"dim": self.dim, "associativity": "exhaustive"}
 
-    def _check_associative(self) -> None:
+    def check_associative(self) -> None:
         """(b_i b_j) b_k = b_i (b_j b_k) for every basis triple.  The left
         sides are ``nested_products`` of the nonzero products; the right
         sides are those of the opposite product b_y * b_x, whose (b_k * b_j)

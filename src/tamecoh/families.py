@@ -84,6 +84,8 @@ class FamilyInstance:
 
     def hh_dim(self, degree: int) -> int:
         """Expected cohomology dimension, closed form, where one is known."""
+        if degree < 0:
+            raise FamilyError(f"no cohomology in negative degree {degree}")
         if degree == 0:
             return self.centre_dim
         if degree == 1 and self.hh1_dim is not None:

@@ -92,6 +92,19 @@ def bracket(resolution: ResolutionSpec, u, v) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _field_codes(field: Field, values, what: str) -> np.ndarray:
+    """``values`` as an int64 array, or ValueError unless every entry is an
+    integer field code in range(q)."""
+    raw = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the test below
+        codes = raw.astype(np.int64)
+    if np.any(codes != raw):
+        raise ValueError(f"{what} must be integers")
+    if np.any((codes < 0) | (codes >= field.q)):
+        raise ValueError(f"{what} must be field codes in range({field.q})")
+    return codes
+
+
 class LieAlgebra:
     """Lie algebra over GF(p^m) given by structure constants.
 
@@ -102,17 +115,11 @@ class LieAlgebra:
 
     def __init__(self, field: Field, structure, names=None, check: bool = True):
         self.field = field
-        raw = np.asarray(structure)
-        with np.errstate(invalid="ignore"):  # NaN and inf fail the test below
-            self.structure = raw.astype(np.int64)
-        if np.any(self.structure != raw):
-            raise ValueError("structure constants must be integers")
+        self.structure = _field_codes(field, structure, "structure constants")
         n = self.structure.shape[0]
         if self.structure.shape != (n, n, n):
             raise AlgebraError(
                 f"structure constants must be cubic, got {self.structure.shape}")
-        if np.any((self.structure < 0) | (self.structure >= field.q)):
-            raise ValueError(f"structure constants must be field codes in range({field.q})")
         self.dim = n
         if names is not None:
             names = tuple(names)
@@ -323,9 +330,10 @@ class LieAlgebra:
                           check=False), sec
 
     def conjugate(self, mat, check: bool = True) -> "LieAlgebra":
-        """Structure constants in the basis whose columns are ``mat``."""
+        """Structure constants in the basis whose columns are ``mat``, a
+        matrix of field codes (ValueError otherwise)."""
         f = self.field
-        mat = np.asarray(mat, dtype=np.int64)
+        mat = _field_codes(f, mat, "change-of-basis entries")
         minv = inverse(f, mat)
         n = self.dim
         vals = matmul(f, mat.T, self._ads(mat.T)).reshape(n * n, n)
@@ -357,11 +365,12 @@ def _chunks(rows):
 
 
 def verify_iso(l1: LieAlgebra, l2: LieAlgebra, mat) -> bool:
-    """Whether the invertible matrix mat intertwines the two brackets."""
+    """Whether the invertible matrix mat intertwines the two brackets.  Its
+    entries must be field codes (ValueError otherwise)."""
     if l1.dim != l2.dim or l1.field != l2.field:
         return False
     f = l1.field
-    mat = np.asarray(mat, dtype=np.int64)
+    mat = _field_codes(f, mat, "isomorphism entries")
     try:
         inverse(f, mat)
     except ValueError:

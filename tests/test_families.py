@@ -103,6 +103,19 @@ def test_q2b1_dim_centre_and_resolution():
         inst.hh_dim(1)
 
 
+@pytest.mark.parametrize("family,field,params", [
+    ("Q1A2", GF4, dict(k=3, c=0, d=2)),   # the quaternion closed form
+    ("Q1A1", GF2, dict(k=2)),
+    ("SD2B1", GF2, dict(k=2, s=2, c=0)),
+])
+def test_hh_dim_rejects_negative_degrees(family, field, params):
+    inst = make(family, field, **params)
+    assert inst.hh_dim(0) == inst.centre_dim
+    for degree in (-1, -4):
+        with pytest.raises(FamilyError, match=f"negative degree {degree}"):
+            inst.hh_dim(degree)
+
+
 # ---------------------------------------------------------------------------
 # parameter validation
 # ---------------------------------------------------------------------------

@@ -301,6 +301,32 @@ def test_structure_constants_must_be_field_codes(field):
     assert np.array_equal(LieAlgebra(field, good.astype(np.float64)).structure, good)
 
 
+@pytest.mark.parametrize("field", [GF2, GF3, GF4])
+def test_change_of_basis_entries_must_be_field_codes(field):
+    """verify_iso and conjugate apply the structure constants' rule to their
+    matrix: over GF(2), I + 2 E_01 once passed verify_iso because the
+    product of codes is a bitwise AND there."""
+    lie = diagonal_model(field, [1, field.q - 1])
+    eye = np.eye(lie.dim, dtype=np.int64)
+    upper = np.eye(lie.dim, k=1, dtype=np.int64)
+    assert verify_iso(lie, lie, eye)
+    assert np.array_equal(lie.conjugate(eye).structure, lie.structure)
+    for bad in (field.q, -1, field.q + 1):
+        for mat in (eye + bad * upper, bad * eye):
+            with pytest.raises(ValueError, match=re.escape(f"codes in range({field.q})")):
+                verify_iso(lie, lie, mat)
+            for check in (True, False):
+                with pytest.raises(ValueError, match=re.escape(f"codes in range({field.q})")):
+                    lie.conjugate(mat, check=check)
+    for mat in (eye + 0.5 * upper, np.where(upper > 0, np.nan, eye)):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            verify_iso(lie, lie, mat)
+        with pytest.raises(ValueError, match="entries must be integers"):
+            lie.conjugate(mat)
+    # integer values are accepted whatever the dtype
+    assert verify_iso(lie, lie, eye.astype(np.float64))
+
+
 def kron(f, a, b):
     """Kronecker product with entries multiplied in the field."""
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)

@@ -6,6 +6,7 @@ against ground truth before being pointed at the families.
 """
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -256,6 +257,25 @@ def test_unit_coefficient_fails_minimality():
     )
     report = res.check_minimality()
     assert not report["passed"]
+
+
+def test_differentials_must_match_the_summands():
+    """A generator image dropped from d2 once gave dim HH^1 = 5 instead of 4
+    on SD2B1(2,2)/GF(3) with check_complex passing, and a term in a summand
+    out of range failed later with a bare IndexError."""
+    res = make("SD2B1", GF3, k=2, s=2, c=0).resolution
+    summands, diffs = res.summands, list(res.diffs)
+    with pytest.raises(ValueError, match="degree 2 has 4 generator images for 5 summands"):
+        ResolutionSpec(res.algebra, summands, diffs[:2] + [diffs[2][1:]])
+    for s_idx in (len(summands[1]), -1):
+        expr = diffs[2][0]
+        moved = TensorExpr([(s_idx, *expr.terms[0][1:])] + expr.terms[1:])
+        used = sorted({0, 1, 2, 3, s_idx})
+        with pytest.raises(ValueError, match=re.escape(f"terms in summands {used} of 4")):
+            ResolutionSpec(res.algebra, summands, diffs[:2] + [[moved] + diffs[2][1:]])
+    with pytest.raises(ValueError, match="3 degrees of summands but 2 of diffs"):
+        ResolutionSpec(res.algebra, summands, diffs[:2])
+    assert ResolutionSpec(res.algebra, summands, diffs).check_complex()["passed"]
 
 
 def test_wrong_quaternion_parameters_fail_checks():
