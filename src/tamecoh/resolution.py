@@ -163,9 +163,8 @@ class ResolutionSpec:
 
     ``summands[n]`` lists the degree-n free summands and ``diffs[n]`` (n >= 1)
     holds one TensorExpr per degree-n generator, with term indices referring
-    to ``summands[n-1]``; the constructor raises ValueError otherwise.  When
-    ``periodic`` is set the complex has period 4: degree n > 4 reuses degree
-    ((n-1) mod 4) + 1.
+    to ``summands[n-1]`` (ValueError otherwise).  A ``periodic`` complex has
+    period 4: degree n > 4 reuses degree ((n-1) mod 4) + 1.
     """
 
     def __init__(self, algebra: Algebra, summands, diffs, relations=None,
@@ -444,9 +443,10 @@ class ResolutionSpec:
                       "ker {ker} vs im {im}")
         try:
             alg.check_associative()
-            entries.append(("associativity on every basis triple", True, ""))
+            failure = ""
         except AlgebraError as err:
-            entries.append(("associativity on every basis triple", False, str(err)))
+            failure = str(err)
+        entries.append(("associativity on every basis triple", not failure, failure))
         return _report(entries)
 
 

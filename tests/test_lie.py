@@ -304,8 +304,8 @@ def test_structure_constants_must_be_field_codes(field):
 @pytest.mark.parametrize("field", [GF2, GF3, GF4])
 def test_change_of_basis_entries_must_be_field_codes(field):
     """verify_iso and conjugate apply the structure constants' rule to their
-    matrix: over GF(2), I + 2 E_01 once passed verify_iso because the
-    product of codes is a bitwise AND there."""
+    matrix.  Over GF(2) the product of codes is a bitwise AND, so without it
+    I + 2 E_01 would pass verify_iso."""
     lie = diagonal_model(field, [1, field.q - 1])
     eye = np.eye(lie.dim, dtype=np.int64)
     upper = np.eye(lie.dim, k=1, dtype=np.int64)

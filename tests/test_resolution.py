@@ -260,13 +260,14 @@ def test_unit_coefficient_fails_minimality():
 
 
 def test_differentials_must_match_the_summands():
-    """A generator image dropped from d2 once gave dim HH^1 = 5 instead of 4
-    on SD2B1(2,2)/GF(3) with check_complex passing, and a term in a summand
-    out of range failed later with a bare IndexError."""
+    """Without the check, d2 with its last generator image dropped gives
+    dim HH^1 = 5 instead of 4 on SD2B1(2,2)/GF(3) while check_complex
+    passes, and a term in a summand out of range fails later with a bare
+    IndexError."""
     res = make("SD2B1", GF3, k=2, s=2, c=0).resolution
     summands, diffs = res.summands, list(res.diffs)
     with pytest.raises(ValueError, match="degree 2 has 4 generator images for 5 summands"):
-        ResolutionSpec(res.algebra, summands, diffs[:2] + [diffs[2][1:]])
+        ResolutionSpec(res.algebra, summands, diffs[:2] + [diffs[2][:-1]])
     for s_idx in (len(summands[1]), -1):
         expr = diffs[2][0]
         moved = TensorExpr([(s_idx, *expr.terms[0][1:])] + expr.terms[1:])
