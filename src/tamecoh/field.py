@@ -133,10 +133,19 @@ def _tables(p: int, m: int) -> tuple:
     return out
 
 
+def as_integer(value, what: str) -> int:
+    """value as an int (numpy integers included); ValueError for 2.7 or "3"."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
 class Field:
     """GF(p^m) with integer-coded elements and vectorized array operations."""
 
     def __init__(self, p: int, m: int = 1):
+        p, m = as_integer(p, "characteristic"), as_integer(m, "extension degree")
         if p not in SUPPORTED_PRIMES:
             raise ValueError(f"unsupported characteristic {p}; expected one of {SUPPORTED_PRIMES}")
         if not 1 <= m <= 4:
@@ -233,10 +242,7 @@ class Field:
         every integer is reduced mod p.  Over GF(p^m) integers do not map
         onto the codes, so the value must already lie in range(q).
         """
-        try:
-            c = operator.index(value)
-        except TypeError:
-            raise ValueError(f"{value!r} is not an integer, so not a field code") from None
+        c = as_integer(value, "field code")
         if self.m == 1:
             return c % self.p
         if not 0 <= c < self.q:
@@ -388,12 +394,20 @@ def matmul(field: Field, a, b) -> np.ndarray:
     if k * m * (p - 1) ** 2 >= 2**53:
         raise ValueError(f"inner dimension {k} is past the exact float64 range")
     if m > 1:
-        a_m = field._mats[a_m].swapaxes(-3, -2).reshape(*a_m.shape[:-2], r * m, k * m)
+        a_m = digit_matrix(field, a_m)
         b_m = field._digits[b_m].swapaxes(-2, -1).reshape(*b_m.shape[:-2], k * m, c)
     prod = (a_m.astype(np.float64) @ b_m.astype(np.float64)).astype(np.int64) % p
     if m == 1:
         return prod
     return field._pow_p @ prod.reshape(*prod.shape[:-2], r, m, c)
+
+
+def digit_matrix(field: Field, a) -> np.ndarray:
+    """The GF(p) matrix of v -> a v in digit coordinates, for a matrix or a
+    stack of them: entry x becomes the m x m block ``mats[x]``."""
+    r, c = a.shape[-2:]
+    m = field.m
+    return field._mats[a].swapaxes(-3, -2).reshape(*a.shape[:-2], r * m, c * m)
 
 
 def join(a, b) -> tuple[np.ndarray, np.ndarray]:

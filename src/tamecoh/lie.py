@@ -15,28 +15,27 @@ The second half of the module works with such Lie algebras abstractly
 (structure constants over GF(p^m)).  Every bracket goes through one
 contraction, the adjoint matrices of a stack of rows against the structure
 constants; a subspace bracket contracts one side, then the other.  Lower
-central and derived series, ideal closures and the nilpotency test of a
-subalgebra are one descending-series loop with different steps.  Beside
-them: centre, Killing form, the largest nilpotent ideal (whose candidate
-elements are screened first, a stack at a time, by squaring their adjoint
-matrices until the nilpotent ones are zero), quotients by ideals, and
-dimensions of (rho, 1, 1)-derivation spaces, whose Leibniz system comes
-from the builder behind the derivation oracle of ``cohomology``.  A
-fingerprint bundles the invariants so two algebras can be compared, and
-``distinguish`` names the first invariant that differs.
+central and derived series and the nilpotency test of a subalgebra are one
+descending-series loop with different steps.  Beside them: centre, Killing
+form, the largest nilpotent ideal (the x whose ad lies in the radical of
+the algebra the ads generate, cut out by trace conditions with no search),
+quotients by ideals, and dimensions of (rho, 1, 1)-derivation spaces, whose
+Leibniz system comes from the builder behind the derivation oracle of
+``cohomology``.  A fingerprint bundles the invariants so two algebras can
+be compared, and ``distinguish`` names the first invariant that differs.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import AlgebraError
 from .cohomology import CohomologySpace, cochain_derivation, derivation_system
-from .field import (Field, Section, Subspace, as_matrix, block_rank, inverse,
-                    kernel_space, matmul, nested_products, nonzero_sums, rank)
+from .field import (Field, Section, Subspace, as_integer, as_matrix, block_rank, digit_matrix,
+                    expand_vector, inverse, kernel_basis, kernel_space, matmul,
+                    nested_products, nonzero_sums, pack_vector, rank)
 from .fixtures import FixtureSet
 from .resolution import ResolutionSpec
 
@@ -198,12 +197,6 @@ class LieAlgebra:
             series.append(nxt)
         return series
 
-    def ideal_closure(self, sub: Subspace) -> Subspace:
-        full = self.full_space()
-        # one elimination per step: cur and its brackets with L in one stack
-        return self._series(sub, lambda cur: Subspace(
-            self.field, self.dim, np.vstack([cur.rows, self._brackets(cur, full)])))[-1]
-
     def is_ideal(self, sub: Subspace) -> bool:
         return sub.contains_space(self.bracket_space(sub, self.full_space()))
 
@@ -243,59 +236,50 @@ class LieAlgebra:
     def killing_rank(self) -> int:
         return rank(self.field, self.killing_matrix())
 
-    def _ad_nilpotent(self, xs) -> np.ndarray:
-        """Whether ad x is nilpotent, for each row x of xs: (ad x)^(2^t) = 0
-        with 2^t >= n, after t squarings of the whole stack at once."""
-        powers = self._ads(xs)
-        for _ in range((self.dim - 1).bit_length()):
-            powers = matmul(self.field, powers, powers)
-        return ~powers.any(axis=(1, 2))
+    def nilradical(self) -> Subspace:
+        """The largest nilpotent ideal N = ad^-1(J(A)), with J(A) the radical
+        of the algebra A that the ads generate (de Graaf, Lie Algebras:
+        Theory and Algorithms, 2000): a nilpotent ideal I gives the nilpotent
+        ideal A ad(I) A of A, and ads in J(A) multiply to zero.
 
-    def nilradical(self, limit: int = 10 ** 6):
-        """The largest nilpotent ideal, or None when out of budget.
-
-        Grows a nilpotent ideal greedily from basis vectors, then certifies
-        maximality by trying one representative of every line of the
-        quotient: a strictly larger nilpotent ideal would contain the
-        current one plus some coset, and the single-element extension it
-        generates is again a nilpotent ideal.  When the quotient has more
-        than ``limit`` lines the answer is left undetermined.
-
-        Every x in a nilpotent ideal I has ad x nilpotent: ad x maps L into
-        I, and (ad x)^(c+1) maps L into the (c+1)-th term of I's lower
-        central series, zero for c large.  A closure holds its candidate, so
-        candidates whose ad is not nilpotent are dropped, a stack at a time,
-        before any closure is built.
+        J(A) = I_l, p^l <= nm < p^(l+1), in the chain of ideals of Cohen,
+        Ivanyos and Wales (JPAA 117-118, 1997) on L over GF(p).  I_0 holds
+        the a with tr(a b) = 0 for all b in A, a condition over GF(q) too,
+        as A holds the scalars; I_i holds the a in I_(i-1) with g_i(a b) = 0
+        for all b, g_i(M) = tr(M^(p^i)) / p^i mod p on integer lifts (an
+        inexact division raises AlgebraError).  Each ad^-1(I_i) is an ideal
+        holding N, so the first nilpotent one is N.
         """
-        f = self.field
-        n = self.dim
-        q_size = f.p ** f.m
+        f, n = self.field, self.dim
+        # A: words in the ad e_i, multiplied by each ad e_i until none is new
+        ads = self.structure.transpose(0, 2, 1)
+        algebra = Subspace(f, n * n, np.eye(n, dtype=np.int64).reshape(1, -1))
+        new = algebra.rows
+        while len(new):
+            words = matmul(f, new.reshape(-1, 1, n, n), ads).reshape(-1, n * n)
+            new = Subspace(f, n * n, algebra.reduce(words)).rows
+            algebra = Subspace(f, n * n, np.vstack([algebra.rows, new]))
+        # tr(ad x b) = sum over (c, r) of b[c, r] [x, e_c]_r
+        nil = kernel_space(f, matmul(f, algebra.rows, self.structure.reshape(n, n * n).T))
+        p, size = f.p, n * f.m
+        if p > size or nil.dim == 0 or self.subspace_nilpotent(nil):
+            return nil
 
-        def survivors(xs):
-            return xs[self._ad_nilpotent(xs)]
-
-        ideal = Subspace(f, n)
-        for e in survivors(np.eye(n, dtype=np.int64)):
-            if ideal.contains(e):
-                continue
-            cand = self.ideal_closure(ideal.sum(Subspace(f, n, [e])))
-            if self.subspace_nilpotent(cand):
-                ideal = cand
+        # in digit coordinates over GF(p), with w^t of code p^t: the matrices
+        # of w^t b over a basis of A, and the vectors w^t x over one of N_0
+        powers = p ** np.arange(f.m)
+        products = digit_matrix(f, f.mul(algebra.rows.reshape(-1, 1, n, n), powers[:, None, None]))
+        products = products.reshape(-1, size, size).astype(np.float64)
+        xs = expand_vector(f, f.mul(nil.rows[:, None], powers[:, None])).reshape(-1, size)
+        prime, level = Field(p), 0
         while True:
-            codim = n - ideal.dim
-            if codim == 0:
-                return ideal
-            lines = (q_size ** codim - 1) // (q_size - 1)
-            if lines > limit:
-                return None
-            sec = Section(f, ideal)
-            closures = (self.ideal_closure(ideal.sum(Subspace(f, n, [u])))
-                        for coords in _chunks(_projective_reps(f, codim))
-                        for u in survivors(matmul(f, coords, sec.comp)))
-            grown = next((c for c in closures if self.subspace_nilpotent(c)), None)
-            if grown is None:
-                return ideal
-            ideal = grown
+            level += 1
+            adx = digit_matrix(f, self._ads(pack_vector(f, xs).reshape(-1, n)).swapaxes(1, 2))
+            values = [_power_traces(ad @ products, p, level) for ad in adx.astype(np.float64)]
+            xs = matmul(prime, kernel_basis(prime, np.array(values).T), xs)
+            nil = Subspace(f, n, pack_vector(f, xs).reshape(-1, n))
+            if p ** (level + 1) > size or nil.dim == 0 or self.subspace_nilpotent(nil):
+                return nil
 
     def derivation_dims(self, rhos) -> list[int]:
         """dim of the space of (rho, 1, 1)-derivations for each rho, the D
@@ -344,24 +328,20 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim}, field={self.field})"
 
 
-def _projective_reps(f: Field, dim: int):
-    """One coordinate vector per line of F^dim: first nonzero entry is 1."""
-    codes = list(f.elements())
-    for lead in range(dim):
-        for tail in itertools.product(codes, repeat=dim - lead - 1):
-            v = np.zeros(dim, dtype=np.int64)
-            v[lead] = 1
-            v[lead + 1:] = tail
-            yield v
-
-
-def _chunks(rows):
-    """The rows of an iterator, stacked 16, 32, ... and then 4096 at a time:
-    an early row is reached after little work, a late one in few calls."""
-    size = 16
-    while chunk := list(itertools.islice(rows, size)):
-        yield np.array(chunk)
-        size = min(2 * size, 4096)
+def _power_traces(mats, p: int, level: int) -> np.ndarray:
+    """tr(M^(p^level)) / p^level mod p for each integer matrix M of a float64
+    stack, powers mod p^(level + 1); AlgebraError unless the division is exact."""
+    mod = p ** (level + 1)
+    power = mats % mod
+    for i in range(level):
+        base = power
+        # the last factor enters the trace: tr(P B) = sum of P * B^T
+        for _ in range(p - 1 if i < level - 1 else p - 2):
+            power = power @ base % mod
+    traces = np.einsum("...ij,...ji->...", power, base).astype(np.int64) % mod
+    if np.any(traces % p ** level):
+        raise AlgebraError(f"a trace of a {p}^{level}-th power is not divisible by {p}^{level}")
+    return traces // p ** level
 
 
 def verify_iso(l1: LieAlgebra, l2: LieAlgebra, mat) -> bool:
@@ -456,12 +436,12 @@ def check_bracket_table(space: CohomologySpace, fix: FixtureSet) -> dict:
 def diagonal_model(field: Field, nus) -> LieAlgebra:
     """Lie algebra on e_0..e_r with [e_0, e_i] = nu_i e_i and no other
     brackets; nus holds field codes (nu_1, ..., nu_r)."""
-    r = len(nus)
-    n = r + 1
+    nus = _field_codes(field, [as_integer(nu, "weight") for nu in nus], "weights")
+    n = len(nus) + 1
+    i = np.arange(1, n)
     s = np.zeros((n, n, n), dtype=np.int64)
-    for i, nu in enumerate(nus, start=1):
-        s[0, i, i] = int(nu)
-        s[i, 0, i] = field.neg(int(nu))
+    s[0, i, i] = nus
+    s[i, 0, i] = field.neg(nus)
     return LieAlgebra(field, s)
 
 
@@ -517,17 +497,22 @@ class Fingerprint:
     centre_dim: int
     killing_rank: int
     nilpotent: bool
-    nilradical_dim: int | None
+    nilradical_dim: int
     derivation_dims: tuple
 
 
 def fingerprint(lie: LieAlgebra, probes=(), nilradical_limit: int = 10 ** 6
                 ) -> Fingerprint:
-    probes = [int(rho) for rho in probes]
+    """The invariants of ``lie``, with (rho, 1, 1)-derivation dims at each
+    probe, an integer field code (ValueError otherwise).
+
+    ``nilradical_limit`` has no effect, since the nilradical is always
+    decided, and goes with a benchmark change (ROADMAP item 3).
+    """
+    probes = [as_integer(rho, "derivation probe") for rho in probes]
     der_dims = tuple(zip(probes, lie.derivation_dims(probes)))
     lower = lie.lower_central_series()
     derived = tuple(s.dim for s in lie.derived_series()[1:])
-    nilrad = lie.nilradical(limit=nilradical_limit)
     return Fingerprint(
         dim=lie.dim,
         lower_central_dims=tuple(s.dim for s in lower[1:]),
@@ -535,7 +520,7 @@ def fingerprint(lie: LieAlgebra, probes=(), nilradical_limit: int = 10 ** 6
         centre_dim=lie.centre().dim,
         killing_rank=lie.killing_rank(),
         nilpotent=lower[-1].dim == 0,
-        nilradical_dim=None if nilrad is None else nilrad.dim,
+        nilradical_dim=lie.nilradical().dim,
         derivation_dims=der_dims,
     )
 
@@ -553,7 +538,7 @@ def distinguish(fp1: Fingerprint, fp2: Fingerprint) -> str:
 
     Returns "distinguished by <label> (<a> vs <b>)" or "inconclusive".
     Series entries are labelled dim L{i} / dim D{i} with superscript
-    indices; an undetermined nilradical on either side is skipped.
+    indices.
     """
     checks = [("dim", fp1.dim, fp2.dim)]
     for idx, (a, b) in enumerate(_padded(fp1.lower_central_dims,
@@ -565,9 +550,7 @@ def distinguish(fp1: Fingerprint, fp2: Fingerprint) -> str:
     checks.append(("dim centre", fp1.centre_dim, fp2.centre_dim))
     checks.append(("Killing rank", fp1.killing_rank, fp2.killing_rank))
     checks.append(("nilpotency", fp1.nilpotent, fp2.nilpotent))
-    if fp1.nilradical_dim is not None and fp2.nilradical_dim is not None:
-        checks.append(("dim nilradical", fp1.nilradical_dim,
-                       fp2.nilradical_dim))
+    checks.append(("dim nilradical", fp1.nilradical_dim, fp2.nilradical_dim))
     probes2 = dict(fp2.derivation_dims)
     for rho, d1 in fp1.derivation_dims:
         if rho in probes2:

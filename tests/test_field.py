@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -271,6 +272,21 @@ def test_code_takes_integers_only():
                 f.code(value)
     with pytest.raises(ValueError, match="not a field code"):
         gf4.code(4)
+
+
+def test_constructor_takes_integers_only():
+    assert Field(np.int64(2), np.int8(2)) == Field(2, 2)
+    assert type(Field(np.int64(3)).p) is int
+    for p, m in [(2.0, 1), ("3", 1), (np.float64(2.0), 1), (None, 1)]:
+        with pytest.raises(ValueError, match=re.escape(f"characteristic {p!r} is not an integer")):
+            Field(p, m)
+    for m in (2.0, 1.5, "2"):
+        with pytest.raises(ValueError, match=re.escape(f"extension degree {m!r} is not an integer")):
+            Field(3, m)
+    with pytest.raises(ValueError, match="unsupported characteristic 11"):
+        Field(11)
+    with pytest.raises(ValueError, match="unsupported extension degree 5"):
+        Field(2, np.int64(5))
 
 
 def test_element_str_round_trip_notation():

@@ -4,7 +4,7 @@ Every contraction of ``LieAlgebra`` (bracket, ad, bracket_space, Killing
 form, centre, change of basis) is recomputed entry by entry from the
 structure constants with scalar field operations, on diagonal models and on
 seeded random changes of basis of HH^1 Lie algebras over GF(2), GF(3), GF(4)
-and GF(8).  The series, ideal closures, nilpotency of subalgebras and
+and GF(8).  The series, the ideal test, nilpotency of subalgebras and
 quotients are held to the term-by-term loops they were first written as,
 and the named-basis path of ``from_cohomology`` to its per-pair fill and to
 a change of basis of the canonical algebra.  The Jacobi check is held to
@@ -13,9 +13,14 @@ its block-by-block Kronecker loop, the derivation probes to a brute force
 over every rho, and the second-derived weights to L/D^2 of HH^1.  The
 nilradical is held to a brute force over every subspace, on every Lie
 algebra of dimension at most 3 over GF(2) and 2 over GF(3) and GF(4), on a
-sample at dimension 3 over GF(3), and on random conjugates of them.
+sample at dimension 3 over GF(3), and on random conjugates of them; to the
+line search it replaced on HH^1 in four bases, where it must also not
+depend on the basis; and on seeded Lie algebras of matrices and diagonal
+models, where its trace conditions run past the first level.
 """
 
+import collections
+import functools
 import itertools
 import random
 import re
@@ -28,6 +33,7 @@ from tamecoh.cohomology import derivation_system, hh
 from tamecoh.families import make
 from tamecoh.field import Field, Section, Subspace, inverse, kernel_space, matmul, matvec
 from tamecoh.fixtures import fixtures_for
+import tamecoh.lie as lie_module
 from tamecoh.lie import (
     LieAlgebra,
     bracket,
@@ -414,6 +420,21 @@ def test_derivation_probes_must_be_field_codes(field):
             fingerprint(lie, probes=[1, bad])
 
 
+def test_probes_and_weights_must_be_integers():
+    lie = diagonal_model(GF5, [1, 2])
+    for bad in (2.7, "3", 2.0):
+        with pytest.raises(ValueError, match=re.escape(f"derivation probe {bad!r} is not an integer")):
+            fingerprint(lie, [1, bad])
+        with pytest.raises(ValueError, match=re.escape(f"weight {bad!r} is not an integer")):
+            diagonal_model(GF5, [1, bad])
+    with pytest.raises(ValueError, match="weight 1.5 is not an integer"):
+        diagonal_model(GF5, [1.5, 2])
+    with pytest.raises(ValueError, match="weights must be field codes"):
+        diagonal_model(GF5, [1, 5])
+    assert fingerprint(lie, [np.int64(3)]) == fingerprint(lie, [3])
+    assert np.array_equal(diagonal_model(GF5, np.array([1, 2])).structure, lie.structure)
+
+
 def test_zero_dimensional_lie_algebra_fingerprint():
     lie = LieAlgebra(GF2, np.zeros((0, 0, 0), dtype=np.int64))
     assert lie.derivation_dim(1) == 0
@@ -562,8 +583,8 @@ def test_ideal_closure_and_nilpotency_match_loops(case):
         subs += [Subspace(f, n, [lie.basis_vector(i)]) for i in range(n)]
         subs += [Subspace(f, n, f.rand(rng, (k, n))) for k in (1, 2)]
         for sub in subs:
-            closure = lie.ideal_closure(sub)
-            assert closure == ref_ideal_closure(lie, sub)
+            closure = ref_ideal_closure(lie, sub)
+            assert lie.is_ideal(closure) and lie.is_ideal(sub) == (closure == sub)
             # closures are ideals, hence subalgebras; the others may not be
             for cand in (sub, closure):
                 assert outcome(lie.subspace_nilpotent, cand) == outcome(ref_subspace_nilpotent, lie, cand)
@@ -657,7 +678,7 @@ def test_nilradical_matches_brute_force_over_subspaces(field, n, sample):
 
 
 # ---------------------------------------------------------------------------
-# the ad-nilpotency filter of the nilradical
+# the nilradical against the line search it replaced, in several bases
 # ---------------------------------------------------------------------------
 
 
@@ -671,10 +692,10 @@ def ref_projective_reps(f, dim):
             yield v
 
 
-def ref_nilradical_search(lie, limit, steps=None):
-    """The nilradical as it was before candidates were filtered by their ad,
-    verbatim but for ``steps``, which collects the ideal at the start of
-    each line search."""
+def ref_nilradical_search(lie, limit):
+    """The nilradical as a search: a nilpotent ideal grown greedily from the
+    basis vectors, then one closure per line of the quotient until none is
+    nilpotent; None once the quotient has more than ``limit`` lines."""
     f = lie.field
     n = lie.dim
     q_size = f.p ** f.m
@@ -683,12 +704,10 @@ def ref_nilradical_search(lie, limit, steps=None):
         e = lie.basis_vector(i)
         if ideal.contains(e):
             continue
-        cand = lie.ideal_closure(ideal.sum(Subspace(f, n, [e])))
+        cand = ref_ideal_closure(lie, ideal.sum(Subspace(f, n, [e])))
         if lie.subspace_nilpotent(cand):
             ideal = cand
     while True:
-        if steps is not None:
-            steps.append(ideal)
         codim = n - ideal.dim
         if codim == 0:
             return ideal
@@ -699,7 +718,7 @@ def ref_nilradical_search(lie, limit, steps=None):
         grown = None
         for coords in ref_projective_reps(f, codim):
             u = sec.lift(coords)
-            cand = lie.ideal_closure(ideal.sum(Subspace(f, n, [u])))
+            cand = ref_ideal_closure(lie, ideal.sum(Subspace(f, n, [u])))
             if lie.subspace_nilpotent(cand):
                 grown = cand
                 break
@@ -708,24 +727,14 @@ def ref_nilradical_search(lie, limit, steps=None):
         ideal = grown
 
 
-def nilpotent_closures(monkeypatch, search, *args):
-    """search(*args), and the closures it found nilpotent, in the order found."""
-    found = []
-    test = LieAlgebra.subspace_nilpotent
-
-    def spy(lie, sub):
-        nilpotent = test(lie, sub)
-        if nilpotent:
-            found.append(sub)
-        return nilpotent
-
-    with monkeypatch.context() as m:
-        m.setattr(LieAlgebra, "subspace_nilpotent", spy)
-        return search(*args), found
+def in_basis(sub, mat):
+    """sub in the basis of the columns of mat: coordinates times mat^-1."""
+    f = sub.field
+    return Subspace(f, sub.ambient_dim, matmul(f, sub.rows, inverse(f, mat).T))
 
 
 # the pipeline instances of perfbench/workloads.py, then one whose seeded
-# conjugates make the line search grow the ideal after the greedy pass
+# conjugates once made the line search grow the ideal after the greedy pass
 PIPELINE = [
     ("SD2B1", GF2, dict(k=6, s=6, c=0)), ("SD2B1", GF3, dict(k=3, s=4, c=0)),
     ("SD2B1", GF3, dict(k=4, s=3, c=0)), ("SD2B1", GF5, dict(k=3, s=3, c=0)),
@@ -743,69 +752,167 @@ NILRADICAL_CASES = list(dict.fromkeys(
 
 @pytest.mark.parametrize("family,field,params", NILRADICAL_CASES, ids=[
     f"{fam}({','.join(str(v) for _, v in ps)})/{f}" for fam, f, ps in NILRADICAL_CASES])
-def test_nilradical_matches_the_unfiltered_search(family, field, params, monkeypatch):
-    """Row for row, and None for None, at limit 0 and at the default, on
-    HH^1 in its canonical basis and in three seeded changes of basis; the
-    nilpotent closures are found in the same order, so the ideal grows
-    through the same chain."""
+def test_nilradical_matches_the_unfiltered_search(family, field, params):
+    """On HH^1 in its canonical basis and in three seeded changes of basis,
+    the nilradical is the ideal the search finds wherever it decides, and in
+    every basis it is the canonical one in the new coordinates."""
     lie = hh1_algebra(family, field, **dict(params))
-    conjugates = [lie.conjugate(random_invertible(field, lie.dim, random.Random(seed)))
-                  for seed in range(3)]
-    line_search_grew = []
-    for alg in [lie] + conjugates:
-        for limit in (0, 10 ** 6):
-            steps = []
-            want, want_chain = nilpotent_closures(
-                monkeypatch, ref_nilradical_search, alg, limit, steps)
-            got, chain = nilpotent_closures(monkeypatch, alg.nilradical, limit)
-            assert got == want
-            assert chain == want_chain
-        line_search_grew.append(steps[-1].dim > steps[0].dim)
-    if (family, field, params) == NILRADICAL_CASES[-1]:
-        assert line_search_grew == [False, True, True, True]
+    canonical = lie.nilradical()
+    mats = [np.eye(lie.dim, dtype=np.int64)]
+    mats += [random_invertible(field, lie.dim, random.Random(seed)) for seed in range(3)]
+    for mat in mats:
+        alg = lie.conjugate(mat)
+        got = alg.nilradical()
+        assert got == in_basis(canonical, mat)
+        want = ref_nilradical_search(alg, 10 ** 6)
+        assert want is None or got == want
 
 
-def ref_ad_nilpotent(lie, x):
-    """Whether (ad x)^n = 0, with ad x multiplied out n times, entry by entry."""
+def test_nilradical_is_decided_in_every_basis():
+    """Q1A2(6,2,3)/GF(4), Lie dim 11: the search left the quotient of two of
+    these bases undecided, with more than 10^6 lines.  The nilradical has
+    dim 9 in every basis and is the canonical one in the new coordinates."""
+    lie = hh1_algebra("Q1A2", GF4, k=6, c=2, d=3)
+    canonical = lie.nilradical()
+    assert canonical == ref_nilradical_search(lie, 10 ** 6)
+    assert canonical.dim == 9
+    for seed in (1, 2, 3, 4):
+        mat = random_invertible(GF4, lie.dim, random.Random(seed))
+        assert lie.conjugate(mat).nilradical() == in_basis(canonical, mat)
+
+
+# ---------------------------------------------------------------------------
+# the nilradical on Lie algebras of matrices, where the radical needs the
+# trace conditions past the first
+# ---------------------------------------------------------------------------
+
+
+def commutator(f, a, b):
+    return f.sub(matmul(f, a, b), matmul(f, b, a))
+
+
+def matrix_lie_algebra(f, mats):
+    """The Lie algebra that k x k matrices generate under the commutator, in
+    the echelon basis of its span; None unless its dim is 2 to 7."""
+    k = len(mats[0])
+    span = Subspace(f, k * k, [a.reshape(-1) for a in mats])
+    while 2 <= span.dim <= 7:
+        basis = span.rows.reshape(-1, k, k)
+        grown = span.sum(Subspace(f, k * k, [commutator(f, a, b).reshape(-1)
+                                             for a in basis for b in basis]))
+        if grown == span:
+            # a vector of the span has its coordinates at the basis pivots
+            pivots = [int(np.flatnonzero(row)[0]) for row in span.rows]
+            return LieAlgebra(f, np.array([[commutator(f, a, b).reshape(-1)[pivots]
+                                            for b in basis] for a in basis]))
+        span = grown
+    return None
+
+
+def ref_trace_radical(lie):
+    """{x : tr(ad x w) = 0} over the words w in the ad e_i that span their
+    algebra, each word found as a product of a shorter one and an ad e_i."""
     f, n = lie.field, lie.dim
-    ad = ref_ad(lie, x)
-    power = np.eye(n, dtype=np.int64)
-    for _ in range(n):
-        nxt = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    nxt[i, j] = f.add(int(nxt[i, j]), f.mul(int(power[i, k]), int(ad[k, j])))
-        power = nxt
-    return not power.any()
+    ads = [ref_ad(lie, lie.basis_vector(i)) for i in range(n)]
+    words = [np.eye(n, dtype=np.int64)]
+    span = Subspace(f, n * n, [words[0].reshape(-1)])
+    for word in words:  # grows while it is read
+        for ad in ads:
+            nxt = matmul(f, word, ad)
+            if not span.contains(nxt.reshape(-1)):
+                span = span.sum(Subspace(f, n * n, [nxt.reshape(-1)]))
+                words.append(nxt)
+    traces = [[functools.reduce(f.add, np.diagonal(matmul(f, ads[i], word)).tolist(), 0)
+               for i in range(n)] for word in words]
+    return kernel_space(f, np.array(traces, dtype=np.int64))
 
 
-def filiform(f, n):
-    """[e_0, e_i] = e_(i+1) for 0 < i < n - 1: ad e_0 is nilpotent of index n - 1."""
-    s = np.zeros((n, n, n), dtype=np.int64)
-    for i in range(1, n - 1):
-        s[0, i, i + 1], s[i, 0, i + 1] = 1, f.neg(1)
-    return LieAlgebra(f, s)
+def matrix_lie_algebras(rng, count):
+    """Seeded Lie algebras spanned by 2 or 3 sparse random k x k matrices,
+    k <= 4, and their commutators, over GF(2) and GF(3)."""
+    out = []
+    while len(out) < count:
+        f, k = rng.choice([GF2, GF3]), rng.randint(2, 4)
+        density = rng.choice([0.2, 0.3, 0.5])
+        mats = [np.array([[f.rand(rng) if rng.random() < density else 0 for _ in range(k)]
+                          for _ in range(k)]) for _ in range(rng.randint(2, 3))]
+        lie = matrix_lie_algebra(f, mats)
+        if lie is not None:
+            out.append(lie)
+    return out
 
 
-@pytest.mark.parametrize("field", [GF2, GF3, GF4, GF8], ids=str)
-def test_ad_nilpotent_matches_powers_of_ad(field):
-    """On seeded random rows, on conjugates of the filiform algebras (every
-    ad a conjugate of a strictly triangular matrix, of index up to n - 1) and
-    at dims 0 and 1: both answers occur, and every one is the loop's."""
-    rng = random.Random(field.q)
-    lies = [LieAlgebra(field, np.zeros((n, n, n), dtype=np.int64)) for n in (0, 1)]
-    lies += [filiform(field, n) for n in range(2, 8)]
-    lies += [CASES[case]() for case in sorted(CASES) if case.endswith(f"/GF({field.q})")]
-    answers = set()
-    for lie in lies:
-        n = lie.dim
-        for alg in (lie, lie.conjugate(random_invertible(field, n, rng))):
-            rows = np.vstack([np.eye(n, dtype=np.int64), field.rand(rng, (6, n))])
-            got = alg._ad_nilpotent(rows)
-            assert got.tolist() == [ref_ad_nilpotent(alg, x) for x in rows]
-            answers.update(got.tolist())
-    assert answers == {True, False}
+def nilradical_and_stop(monkeypatch, lie):
+    """lie.nilradical(), and the last level of trace conditions it reached."""
+    levels = [0]
+    power_traces = lie_module._power_traces
+
+    def spy(mats, p, level):
+        levels.append(level)
+        return power_traces(mats, p, level)
+
+    with monkeypatch.context() as m:
+        m.setattr(lie_module, "_power_traces", spy)
+        return lie.nilradical(), max(levels)
+
+
+@pytest.mark.parametrize("p,level", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)])
+def test_power_traces_match_exact_powers(p, level):
+    """On seeded integer matrices, tr(M^(p^level)) in exact integers: its
+    quotient by p^level mod p where the division is exact, else an error."""
+    rng = np.random.default_rng([p, level])
+    exact = 0
+    for _ in range(40):
+        mats = rng.integers(0, p, (2, 4, 4)) * rng.integers(0, 2, (2, 1, 1))
+        traces = [np.trace(np.linalg.matrix_power(m.astype(object), p ** level)) for m in mats]
+        if all(t % p ** level == 0 for t in traces):
+            exact += 1
+            got = lie_module._power_traces(mats.astype(np.float64), p, level)
+            assert got.tolist() == [t // p ** level % p for t in traces]
+        else:
+            with pytest.raises(AlgebraError, match="not divisible"):
+                lie_module._power_traces(mats.astype(np.float64), p, level)
+    assert 0 < exact < 40
+
+
+def test_nilradical_of_matrix_lie_algebras(monkeypatch):
+    """The nilradical is the brute force's up to dim 4 and the search's past
+    it.  The trace conditions stop at the first level whose ideal is
+    nilpotent: level 0 exactly where p > dim or the trace radical of the
+    ads is already the nilradical, and levels 1 and 2 both occur."""
+    subspaces = {(f, n): list(all_subspaces(f, n)) for f in (GF2, GF3) for n in (2, 3, 4)}
+    stops = collections.Counter()
+    for lie in matrix_lie_algebras(random.Random(4), 200):
+        f, n = lie.field, lie.dim
+        got, stop = nilradical_and_stop(monkeypatch, lie)
+        if n <= 4:
+            assert got == ref_nilradical(lie, subspaces[f, n])
+        else:
+            assert got == ref_nilradical_search(lie, 10 ** 6)
+        radical = ref_trace_radical(lie)
+        assert radical.contains_space(got)
+        assert (stop == 0) == (f.p > n or radical == got)
+        stops[f.p, stop] += 1
+    assert stops[2, 1] and stops[3, 1] and stops[2, 2]
+
+
+@pytest.mark.parametrize("field,r,level", [
+    (GF2, 1, 0), (GF2, 2, 1), (GF2, 3, 0), (GF2, 4, 2), (GF2, 6, 1), (GF2, 8, 3),
+    (GF3, 2, 0), (GF3, 3, 1), (GF3, 6, 1), (GF3, 9, 2),
+    (GF4, 2, None), (GF4, 4, None), (GF8, 2, None)],
+    ids=lambda v: str(v) if isinstance(v, Field) else None)
+def test_nilradical_of_diagonal_models_with_equal_weights(field, r, level, monkeypatch):
+    """The sum of two diagonal models: e_0 acts as the identity on e_1..e_r,
+    and e_(r+1) on e_(r+2), so the nilradical is the span of the others.
+    Over GF(p), tr((ad e_0)^(p^i)) / p^i = r / p^i, so e_0 leaves at the
+    level that is the power of p in r, and e_(r+1) at level 0."""
+    s = np.zeros((r + 3,) * 3, dtype=np.int64)
+    s[:r + 1, :r + 1, :r + 1] = diagonal_model(field, [1] * r).structure
+    s[r + 1:, r + 1:, r + 1:] = diagonal_model(field, [1]).structure
+    got, stop = nilradical_and_stop(monkeypatch, LieAlgebra(field, s))
+    assert got == Subspace(field, r + 3, np.eye(r + 3, dtype=np.int64)[[*range(1, r + 1), r + 2]])
+    if level is not None:
+        assert stop == level
 
 
 # ---------------------------------------------------------------------------

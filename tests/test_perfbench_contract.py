@@ -5,13 +5,19 @@
 full path taken exactly at dim <= 30, and ``fingerprint(..., nilradical_limit=0)``
 among others.  A change that breaks one of them would otherwise show only
 as failed operations in a benchmark run; here it fails a test.
+
+``nilradical_limit`` has no effect: the nilradical is always decided, so the
+benchmark's fallback for a ``None`` nilradical dim can no longer fire.
 """
 
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
 import pytest
+from tamecoh.lie import fingerprint
+from test_lie import PIPELINE, hh1_algebra, random_invertible
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -37,3 +43,17 @@ def test_one_round_of_each_workload_has_no_problems(name, monkeypatch):
     assert ops
     for label, op in ops:
         assert op() == [], label
+
+
+@pytest.mark.parametrize("family,field,params", PIPELINE,
+                         ids=[f"{fam}/{f}" for fam, f, _ in PIPELINE])
+def test_nilradical_limit_has_no_effect(family, field, params):
+    """One fingerprint, with an int nilradical dim, in the canonical basis
+    and a seeded conjugate, at limit 0, at 10^6 and by default."""
+    lie = hh1_algebra(family, field, **params)
+    conjugate = lie.conjugate(random_invertible(field, lie.dim, random.Random(5)))
+    probes = list(range(1, field.q))
+    fps = [fingerprint(alg, probes, **limit) for alg in (lie, conjugate)
+           for limit in ({}, {"nilradical_limit": 0}, {"nilradical_limit": 10 ** 6})]
+    assert all(fp == fps[0] for fp in fps)
+    assert type(fps[0].nilradical_dim) is int
