@@ -46,7 +46,7 @@ def test_one_round_of_each_workload_has_no_problems(name, monkeypatch):
 
 
 @pytest.mark.parametrize("family,field,params", PIPELINE,
-                         ids=[f"{fam}/{f}" for fam, f, _ in PIPELINE])
+                         ids=[f"{fam}({','.join(map(str, ps.values()))})/{f}" for fam, f, ps in PIPELINE])
 def test_nilradical_limit_has_no_effect(family, field, params):
     """One fingerprint, with an int nilradical dim, in the canonical basis
     and a seeded conjugate, at limit 0, at 10^6 and by default."""
