@@ -9,10 +9,14 @@ An independent check for degree one comes from derivations: the module also
 solves the Leibniz system directly on the structure constants, with no
 reference to the resolution, and compares dimensions.  One builder,
 ``derivation_system``, gives the nonzero entries (row, column, code) of that
-system for any bilinear product given by its nonzero structure constants
-(x, y, z, c), from joins over them; the Lie layer uses it for (rho, 1, 1)-
-derivations.  No dense system is formed: the system falls apart into small
-independent blocks, which ``field.block_eliminate`` reduces chunk by chunk.
+system at one lam, for any bilinear product given by its nonzero structure
+constants (x, y, z, c), from joins over them.  No dense system is formed:
+the system falls apart into small independent blocks, which
+``field.block_eliminate`` reduces chunk by chunk.  The Lie layer uses the
+builder for (rho, 1, 1)-derivations; for several rho on a system of one
+dense chunk it builds the system once, at lam = 0, since its rows combined
+along the relations among the brackets carry no lam, and each rho adds only
+the rows of the pairs whose brackets span the bracket space.
 Degree-one cochains become derivation matrices by recursion on word
 length, D(a w') = D(a) w' + a D(w'), in stacked products over any stack of
 cochains.
@@ -25,8 +29,8 @@ import itertools
 import numpy as np
 
 from .algebra import Algebra, AlgebraError
-from .field import (Field, Section, Subspace, block_kernel, group_sums, image_basis, join,
-                    kernel_space)
+from .field import (Field, Section, Subspace, block_kernel, image_basis, join, kernel_space,
+                    nonzero_sums)
 from .resolution import ResolutionSpec
 
 
@@ -106,11 +110,11 @@ def centre_cochain(resolution: ResolutionSpec, z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def derivation_system(field: Field, n: int, entries, pairs, lams):
+def derivation_system(field: Field, n: int, entries, pairs, lam):
     """Nonzero entries (row, column, code) of the system lam D(b_i b_j) -
     D(b_i) b_j - b_i D(b_j) = 0 for a product on n basis elements with
     nonzero structure constants ``entries`` = (x, y, z, c), b_x b_y = sum of
-    c b_z, one triple for each lam in ``lams``.
+    c b_z.
 
     ``pairs`` holds two equal-length index arrays, the left factors i and the
     right factors j.  Row p n + r is coordinate r of the rule for pair p.
@@ -118,7 +122,6 @@ def derivation_system(field: Field, n: int, entries, pairs, lams):
     D(b_c), so column t n + c is the entry D[t, c].  Each term is one join
     of the pairs with the nonzero structure constants; terms that meet at
     one position are summed in the field, and sums that vanish are dropped.
-    Only the sums depend on lam, so the terms are found once for all lams.
     """
     nn = n * n
     i, j = (np.asarray(a, dtype=np.int64) for a in pairs)
@@ -127,20 +130,14 @@ def derivation_system(field: Field, n: int, entries, pairs, lams):
     p, e = join(i * n + j, x * n + y)
     r = np.arange(n)
     keys = [((p[:, None] * n + r) * nn + r * n + z[e][:, None]).ravel()]
-    scaled = np.repeat(v[e], n)
+    codes = [np.repeat(field.mul(lam, v[e]), n)]
     # - D(b_i) b_j: - b_t b_j at D[t, i] in row r; - b_i D(b_j): - b_i b_t at D[t, j]
-    fixed = []
     for factor, other, side, t in ((j, i, y, x), (i, j, x, y)):
         p, e = join(factor, side)
         keys.append((p * n + z[e]) * nn + t[e] * n + other[p])
-        fixed.append(field.neg(v[e]))
-    positions, group = np.unique(np.concatenate(keys), return_inverse=True)
-    fixed = np.concatenate(fixed)
-    for lam in lams:
-        sums = group_sums(field, group, np.concatenate([field.mul(lam, scaled), fixed]),
-                          len(positions))
-        keep = sums != 0
-        yield positions[keep] // nn, positions[keep] % nn, sums[keep]
+        codes.append(field.neg(v[e]))
+    positions, sums = nonzero_sums(field, np.concatenate(keys), np.concatenate(codes))
+    return positions // nn, positions % nn, sums
 
 
 def derivation_space(alg: Algebra) -> Subspace:
@@ -155,8 +152,8 @@ def derivation_space(alg: Algebra) -> Subspace:
     n = alg.dim
     _, gens = np.nonzero(alg.generators())
     pairs = np.repeat(np.arange(n), len(gens)), np.tile(gens, n)
-    entries, = derivation_system(alg.field, n, alg.table, pairs, [1])
-    return Subspace(alg.field, n * n, block_kernel(alg.field, *entries, n * n))
+    system = derivation_system(alg.field, n, alg.table, pairs, 1)
+    return Subspace(alg.field, n * n, block_kernel(alg.field, *system, n * n))
 
 
 def inner_derivation_space(alg: Algebra) -> Subspace:

@@ -21,8 +21,13 @@ form, the largest nilpotent ideal (the x whose ad lies in the radical of
 the algebra the ads generate, cut out by trace conditions with no search),
 quotients by ideals, and dimensions of (rho, 1, 1)-derivation spaces, whose
 Leibniz system comes from the builder behind the derivation oracle of
-``cohomology``.  A fingerprint bundles the invariants so two algebras can
-be compared, and ``distinguish`` names the first invariant that differs.
+``cohomology``.  While that system fits in one dense chunk, several probes
+share one elimination: its rows combined along the relations among the
+brackets carry no rho, so their kernel is found once, and each probe then
+solves only the rows of the pairs whose brackets span [L, L], on that
+kernel.  A larger system keeps its blocks, one elimination per probe.  A
+fingerprint bundles the invariants so two algebras can be compared, and
+``distinguish`` names the first invariant that differs.
 """
 
 from __future__ import annotations
@@ -33,9 +38,10 @@ import numpy as np
 
 from .algebra import AlgebraError
 from .cohomology import CohomologySpace, cochain_derivation, derivation_system
-from .field import (Field, Section, Subspace, as_integer, as_matrix, block_rank, digit_matrix,
-                    expand_vector, inverse, kernel_basis, kernel_space, matmul,
-                    nested_products, nonzero_sums, pack_vector, rank)
+from .field import (CHUNK_CELLS, Field, Section, Subspace, _kernel_rows, as_integer, as_matrix,
+                    block_rank, dense_sums, digit_matrix, expand_vector, inverse, join,
+                    kernel_basis, kernel_space, matmul, nested_products, nonzero_sums,
+                    pack_vector, rank, rref)
 from .fixtures import FixtureSet
 from .resolution import ResolutionSpec
 
@@ -102,6 +108,16 @@ def _field_codes(field: Field, values, what: str) -> np.ndarray:
     if np.any((codes < 0) | (codes >= field.q)):
         raise ValueError(f"{what} must be field codes in range({field.q})")
     return codes
+
+
+def _probe_codes(field: Field, rhos) -> list[int]:
+    """The derivation probes as ints, or ValueError unless each is an integer
+    field code."""
+    rhos = [as_integer(rho, "derivation probe") for rho in rhos]
+    for rho in rhos:
+        if rho not in range(field.q):
+            raise ValueError(f"derivation probe {rho!r} is not a field code in {field}")
+    return rhos
 
 
 class LieAlgebra:
@@ -283,20 +299,64 @@ class LieAlgebra:
 
     def derivation_dims(self, rhos) -> list[int]:
         """dim of the space of (rho, 1, 1)-derivations for each rho, the D
-        with rho D[x, y] = [Dx, y] + [x, Dy] for all x, y: n^2 - rank of the
-        Leibniz system in the n^2 entries of D, summed over its chunks.
+        with rho D[x, y] = [Dx, y] + [x, Dy] for all x, y.  They are the
+        kernel of the Leibniz system M_rho in the n^2 entries of D: row
+        (p, r) is coordinate r of rho D c_p - [D e_i, e_j] - [e_i, D e_j] for
+        the pair p = (i, j), i < j, with c_p = [e_i, e_j].  The rule is
+        alternating in (x, y), so these pairs impose all of it.
 
-        The rule is alternating in (x, y), so the pairs e_i, e_j with i < j
-        impose all of it.  The systems share their terms, which are found
-        once for all the rhos.
+        One probe takes n^2 - the rank of M_rho, summed over its chunks.  Two
+        or more on a small M_rho (see below) share one elimination, exact for
+        every rho, 0 included:
+
+        - The pivot pairs P of the brackets give a basis c_P of [L, L], and
+          each other pair q the relation c_q - sum over P of a_qp c_p = 0.
+          For each r, the rows (p, r) of P and the relation rows, row (q, r)
+          - sum over P of a_qp row (p, r), are M_rho's rows under an
+          invertible transform, as each relation holds a unit at its own q.
+        - The rho term of row (p, r), rho sum over s of D[r, s] c_p[s], is
+          linear in c_p, so it cancels in every relation row.  Those rows are
+          the same for every rho, and their kernel K is found once.
+        - So ker M_rho is the part of K that the rows of P kill, and
+          dim Der_rho is dim K - the rank of those rows on K's basis, a
+          d n x dim K matrix.  Its rho part D c_p and the rest [D e_j, e_i] -
+          [D e_i, e_j] come from stacked products over K's basis, once.
+
+        The probes stay on M_rho one at a time when there is one, or when
+        M_rho, pairs n rows by n^2 columns, is larger than one dense chunk
+        of CHUNK_CELLS cells.  One probe gains nothing: the shared path
+        eliminates as many pivots in all, n^2 - dim K and then dim K -
+        dim Der_rho, and forming the relation rows costs extra.  A larger
+        M_rho splits into the blocks that ``block_eliminate`` finds, which
+        the shared path, dense in all n^2 entries of D, would give up.
         """
-        rhos = list(rhos)
-        for rho in rhos:
-            if rho not in range(self.field.q):
-                raise ValueError(f"derivation probe {rho!r} is not a field code in {self.field}")
-        systems = derivation_system(self.field, self.dim, self.entries(),
-                                    np.triu_indices(self.dim, 1), rhos)
-        return [self.dim ** 2 - block_rank(self.field, *s) for s in systems]
+        f, n = self.field, self.dim
+        rhos = _probe_codes(f, rhos)
+        pairs = np.triu_indices(n, 1)
+        if len(rhos) < 2 or len(pairs[0]) * n ** 3 > CHUNK_CELLS:
+            return [n * n - block_rank(f, *derivation_system(f, n, self.entries(), pairs, rho))
+                    for rho in rhos]
+        brackets = self.structure[pairs]
+        reduced, pivots = rref(f, brackets.T)
+        relations = _kernel_rows(f, reduced, pivots)
+        # relation row (l, r): its pairs' rows (q, r) of M_0 joined and summed
+        rows, cols, codes = derivation_system(f, n, self.entries(), pairs, 0)
+        rel, pair = np.nonzero(relations)
+        s, e = join(pair, rows // n)
+        kernel = kernel_basis(f, dense_sums(f, rel[s] * n + rows[e] % n, cols[e],
+                                            f.mul(relations[rel, pair][s], codes[e]),
+                                            (len(relations) * n, n * n)))
+        # the rows of P on K's basis, at [(p, r), D]
+        k, d = len(kernel), len(pivots)
+        maps = kernel.reshape(k, n, n)
+        i, j = pairs[0][pivots], pairs[1][pivots]
+
+        def applied(a, b):  # [D e_a, e_b], at [p, D, r]
+            return matmul(f, maps[:, :, a].transpose(2, 0, 1), self.structure[:, b].swapaxes(0, 1))
+
+        scaled = matmul(f, maps, brackets[pivots].T).transpose(2, 1, 0).reshape(d * n, k)
+        fixed = f.sub(applied(j, i), applied(i, j)).transpose(0, 2, 1).reshape(d * n, k)
+        return [k - rank(f, f.add(f.mul(rho, scaled), fixed)) for rho in rhos]
 
     def derivation_dim(self, rho) -> int:
         return self.derivation_dims([rho])[0]
@@ -509,7 +569,7 @@ def fingerprint(lie: LieAlgebra, probes=(), nilradical_limit: int = 10 ** 6
     ``nilradical_limit`` has no effect, since the nilradical is always
     decided, and goes with a benchmark change (ROADMAP item 3).
     """
-    probes = [as_integer(rho, "derivation probe") for rho in probes]
+    probes = _probe_codes(lie.field, probes)
     der_dims = tuple(zip(probes, lie.derivation_dims(probes)))
     lower = lie.lower_central_series()
     derived = tuple(s.dim for s in lie.derived_series()[1:])

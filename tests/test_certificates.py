@@ -574,8 +574,8 @@ def test_derivation_space_hands_rref_only_bounded_chunks(monkeypatch):
     alg = make("SD2B1", GF3, k=3, s=4, c=0).algebra
     n = alg.dim
     _, gens = np.nonzero(alg.generators())
-    (rows, cols, _), = derivation_system(alg.field, n, alg.table,
-                                         (np.repeat(np.arange(n), len(gens)), np.tile(gens, n)), [1])
+    rows, cols, _ = derivation_system(alg.field, n, alg.table,
+                                      (np.repeat(np.arange(n), len(gens)), np.tile(gens, n)), 1)
     blocks = ref_blocks(rows, cols)
     assert max(w for _, w in blocks) == 29
     bound = max([CHUNK_CELLS] + [h * w for h, w in blocks])

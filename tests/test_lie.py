@@ -10,7 +10,10 @@ and the named-basis path of ``from_cohomology`` to its per-pair fill and to
 a change of basis of the canonical algebra.  The Jacobi check is held to
 the dense n^4 array it replaced.  The Leibniz builder is held to
 its block-by-block Kronecker loop, the derivation probes to a brute force
-over every rho, and the second-derived weights to L/D^2 of HH^1.  The
+over every rho, one probe at a time and all at once (the shared
+elimination, also at dims 0 and 1, on abelian algebras, on sl2 with no
+relations among its brackets, and with duplicate probes), and the
+second-derived weights to L/D^2 of HH^1.  The
 nilradical is held to a brute force over every subspace, on every Lie
 algebra of dimension at most 3 over GF(2) and 2 over GF(3) and GF(4), on a
 sample at dimension 3 over GF(3), and on random conjugates of them; to the
@@ -360,7 +363,7 @@ def ref_derivation_system(lie, lam, mu, nu):
 def dense_system(f, lie, pairs, lam):
     """The entries of ``derivation_system`` as a dense (pairs * n, n^2) array."""
     n = lie.dim
-    (rows, cols, codes), = derivation_system(f, n, lie.entries(), pairs, [lam])
+    rows, cols, codes = derivation_system(f, n, lie.entries(), pairs, lam)
     out = np.zeros((len(pairs[0]) * n, n * n), dtype=np.int64)
     out[rows, cols] = codes
     return out
@@ -372,10 +375,72 @@ def test_derivation_system_matches_block_loop(case):
     f = lie.field
     for alg in (lie, conj):
         pairs = np.triu_indices(alg.dim, 1)
+        dims = []
         for rho in f.elements():
             ref = kernel_space(f, ref_derivation_system(alg, rho, 1, 1))
             assert kernel_space(f, dense_system(f, alg, pairs, rho)) == ref
             assert alg.derivation_dim(rho) == ref.dim
+            dims.append(ref.dim)
+        # every probe at once takes the shared elimination, rho = 0 included
+        assert alg.derivation_dims(range(f.q)) == dims
+
+
+def sl2(field):
+    """e, f, h with [e, f] = h, [h, e] = 2e, [h, f] = -2f: simple for p > 2,
+    so its brackets span it and they satisfy no relation."""
+    s = np.zeros((3, 3, 3), dtype=np.int64)
+    two = field.add(1, 1)
+    for x, y, z, c in ((0, 1, 2, 1), (2, 0, 0, two), (2, 1, 1, field.neg(two))):
+        s[x, y, z], s[y, x, z] = c, field.neg(c)
+    return LieAlgebra(field, s)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF4])
+def test_shared_derivation_probes_on_the_edge_cases(field):
+    """Dims 0 and 1, an abelian algebra (no pair's bracket is a pivot), and
+    duplicate probes, with two or more probes so that they share one
+    elimination."""
+    probes = list(range(field.q))
+    for n in (0, 1):
+        lie = LieAlgebra(field, np.zeros((n, n, n), dtype=np.int64))
+        assert lie.derivation_dims(probes) == [n * n] * field.q
+    abelian = LieAlgebra(field, np.zeros((3, 3, 3), dtype=np.int64))
+    assert abelian.derivation_dims(probes) == [9] * field.q
+    lie = CASES[f"diag/{field}"]()
+    single = [lie.derivation_dim(rho) for rho in probes]
+    assert lie.derivation_dims(probes + probes[::-1]) == single + single[::-1]
+    assert lie.derivation_dims([1, 1]) == [single[1]] * 2
+
+
+@pytest.mark.parametrize("field", [GF3, GF5])
+def test_shared_derivation_probes_without_relations(field):
+    """sl2 over GF(3) and GF(5): every pair is a pivot pair, so the shared
+    path solves the whole system per probe, on all of gl(3)."""
+    for lie in (sl2(field), sl2(field).conjugate(random_invertible(field, 3, random.Random(8)))):
+        want = [kernel_space(field, ref_derivation_system(lie, rho, 1, 1)).dim
+                for rho in range(field.q)]
+        assert lie.derivation_dims(range(field.q)) == want
+        assert want[1] == 3  # the inner derivations; sl2 is simple
+
+
+def test_probes_share_one_elimination_only_on_a_system_of_one_chunk(monkeypatch):
+    """Random changes of basis of diagonal models over GF(3): at Lie dim 10
+    the Leibniz system, pairs n rows by n^2 columns, fits in CHUNK_CELLS
+    cells and two probes share one system at lam = 0; at dim 11 it does not,
+    and each probe keeps its own system and its blocks.  Both agree with
+    the brute force."""
+    lams = []
+    build = lie_module.derivation_system
+    monkeypatch.setattr(lie_module, "derivation_system",
+                        lambda f, n, entries, pairs, lam: lams.append(lam) or build(f, n, entries, pairs, lam))
+    for dim, want in ((10, [0]), (11, [1, 2])):
+        lie = diagonal_model(GF3, ([1, 2] * dim)[:dim - 1])
+        lie = lie.conjugate(random_invertible(GF3, dim, random.Random(dim)))
+        assert (dim * (dim - 1) // 2 * dim ** 3 <= lie_module.CHUNK_CELLS) == (dim == 10)
+        lams.clear()
+        dims = lie.derivation_dims([1, 2])
+        assert lams == want
+        assert dims == [kernel_space(GF3, ref_derivation_system(lie, rho, 1, 1)).dim for rho in (1, 2)]
 
 
 def ref_row_can_be_nonzero(table, i, j, r):
@@ -403,7 +468,7 @@ def test_derivation_system_keeps_exactly_the_rows_that_can_be_nonzero(case):
         assert not full[~mask].any() and not dense[~mask].any()
         # a row whose terms cancel has no entries, so the rows with entries
         # are exactly the nonzero rows, all of them among those kept above
-        (rows, _, codes), = derivation_system(f, n, alg.entries(), pairs, [lam])
+        rows, _, codes = derivation_system(f, n, alg.entries(), pairs, lam)
         assert np.array_equal(np.unique(rows), np.flatnonzero(full.any(axis=3)))
         assert codes.all()
 
@@ -422,6 +487,11 @@ def test_derivation_probes_must_be_field_codes(field):
 
 def test_probes_and_weights_must_be_integers():
     lie = diagonal_model(GF5, [1, 2])
+    # 1.0 == 1 lies in range(5), so it has to fail as a non-integer
+    for call in (lambda: lie.derivation_dims([1.0]), lambda: lie.derivation_dim(1.0),
+                 lambda: lie.derivation_dims([2, 1.0])):
+        with pytest.raises(ValueError, match=re.escape("derivation probe 1.0 is not an integer")):
+            call()
     for bad in (2.7, "3", 2.0):
         with pytest.raises(ValueError, match=re.escape(f"derivation probe {bad!r} is not an integer")):
             fingerprint(lie, [1, bad])
