@@ -323,8 +323,8 @@ class LieAlgebra:
           [D e_i, e_j] come from stacked products over K's basis, once.
 
         The probes stay on M_rho one at a time when there is one, or when
-        M_rho, pairs n rows by n^2 columns, is larger than one dense chunk
-        of CHUNK_CELLS cells.  One probe gains nothing: the shared path
+        M_rho, n rows per pair by n^2 columns, is larger than one dense chunk
+        of CHUNK_CELLS cells (from n = 11 on).  One probe gains nothing: the shared path
         eliminates as many pivots in all, n^2 - dim K and then dim K -
         dim Der_rho, and forming the relation rows costs extra.  A larger
         M_rho splits into the blocks that ``block_eliminate`` finds, which

@@ -425,14 +425,18 @@ def test_shared_derivation_probes_without_relations(field):
 
 def test_probes_share_one_elimination_only_on_a_system_of_one_chunk(monkeypatch):
     """Random changes of basis of diagonal models over GF(3): at Lie dim 10
-    the Leibniz system, pairs n rows by n^2 columns, fits in CHUNK_CELLS
+    the Leibniz system, n rows per pair by n^2 columns, fits in CHUNK_CELLS
     cells and two probes share one system at lam = 0; at dim 11 it does not,
     and each probe keeps its own system and its blocks.  Both agree with
     the brute force."""
     lams = []
     build = lie_module.derivation_system
-    monkeypatch.setattr(lie_module, "derivation_system",
-                        lambda f, n, entries, pairs, lam: lams.append(lam) or build(f, n, entries, pairs, lam))
+
+    def recording(f, n, entries, pairs, lam):
+        lams.append(lam)
+        return build(f, n, entries, pairs, lam)
+
+    monkeypatch.setattr(lie_module, "derivation_system", recording)
     for dim, want in ((10, [0]), (11, [1, 2])):
         lie = diagonal_model(GF3, ([1, 2] * dim)[:dim - 1])
         lie = lie.conjugate(random_invertible(GF3, dim, random.Random(dim)))
@@ -440,7 +444,8 @@ def test_probes_share_one_elimination_only_on_a_system_of_one_chunk(monkeypatch)
         lams.clear()
         dims = lie.derivation_dims([1, 2])
         assert lams == want
-        assert dims == [kernel_space(GF3, ref_derivation_system(lie, rho, 1, 1)).dim for rho in (1, 2)]
+        assert dims == [kernel_space(GF3, ref_derivation_system(lie, rho, 1, 1)).dim
+                        for rho in (1, 2)]
 
 
 def ref_row_can_be_nonzero(table, i, j, r):
