@@ -11,8 +11,8 @@ reference to the resolution, and compares dimensions.  One builder,
 ``derivation_system``, gives the nonzero entries (row, column, code) of that
 system at one lam, for any bilinear product given by its nonzero structure
 constants (x, y, z, c), from joins over them.  No dense system is formed:
-the system falls apart into small independent blocks, which
-``field.block_eliminate`` reduces chunk by chunk.  The Lie layer uses the
+``field.block_kernel`` peels off its lone entries, and ``block_eliminate``
+reduces the small independent blocks of the rest.  The Lie layer uses the
 builder for (rho, 1, 1)-derivations; for several rho on a system of one
 dense chunk it builds the system once, at lam = 0, since its rows combined
 along the relations among the brackets carry no lam, and each rho adds only
@@ -147,7 +147,7 @@ def derivation_space(alg: Algebra) -> Subspace:
     generator is a vertex idempotent or an arrow class; linearity in the
     first argument and induction on word length give the rule for all pairs.
     Column i of a derivation matrix is the image of basis element i.  The
-    system's kernel comes from ``block_kernel``, block by block.
+    kernel comes from ``block_kernel``: lone entries peeled, then blocks.
     """
     n = alg.dim
     _, gens = np.nonzero(alg.generators())

@@ -45,10 +45,10 @@ subspaces bit-identical.
 ``matmul``, eliminates the residual pivot by pivot, and back-reduces the
 basis on the new pivots in one more.  The RREF is unique, so the blocks do
 not change it.  A sparse matrix is given by its nonzero entries (rows,
-cols, codes), plus its shape where one is needed.  It is split into the
-independent blocks of its row-column graph, which ``block_eliminate`` packs
-into dense chunks of bounded size for ``rref``; ``block_rank`` sums their
-ranks, and ``product_vanishes`` tests a product on the entries alone.
+cols, codes), plus its shape where one is needed.  ``block_rank`` and
+``block_kernel`` peel off lone entries first; ``block_eliminate`` packs the
+independent blocks of the rest into dense chunks of bounded size for
+``rref``, and ``product_vanishes`` tests a product on the entries alone.
 """
 
 from __future__ import annotations
@@ -255,9 +255,6 @@ class Field:
     def digits(self, code: int):
         return tuple(self._digits[code].tolist())
 
-    def from_digits(self, digits) -> int:
-        return int(np.asarray(digits, dtype=np.int64) % self.p @ self._pow_p)
-
     def element_str(self, code: int) -> str:
         if self.m == 1:
             return str(int(code))
@@ -281,10 +278,6 @@ class Field:
         return (words % self.q).astype(np.int64).reshape(shape)
 
     # ---- GF(p)-linear views, used by the semilinear kernel ----
-
-    def mult_matrix(self, a: int) -> np.ndarray:
-        """m x m matrix over GF(p) of v -> a*v in digit coordinates."""
-        return self._mats[a].copy()
 
     def frob_matrix(self, j: int = 1) -> np.ndarray:
         """m x m matrix over GF(p) of the j-fold Frobenius in digit coordinates."""
@@ -484,20 +477,6 @@ def _kernel_rows(field: Field, r_mat, pivots) -> np.ndarray:
     return basis
 
 
-def solve(field: Field, a, b):
-    """One solution of a @ x = b, or None if inconsistent."""
-    a_m = as_matrix(a)
-    b_v = np.asarray(b, dtype=np.int64).reshape(-1)
-    aug = np.hstack([a_m, b_v[:, None]])
-    r_mat, pivots = rref(field, aug)
-    n_cols = a_m.shape[1]
-    if n_cols in pivots:
-        return None
-    x = np.zeros(n_cols, dtype=np.int64)
-    x[pivots] = r_mat[:, n_cols]
-    return x
-
-
 def inverse(field: Field, a) -> np.ndarray:
     """Inverse of a square matrix; raises ValueError when singular."""
     a_m = as_matrix(a)
@@ -548,15 +527,6 @@ class Subspace:
         return Subspace(self.field, self.ambient_dim,
                         np.vstack([self.rows, other.rows]))
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        # (x, y) with x A + y B = 0 gives x A in both
-        a, b = self.rows, other.rows
-        if self.dim == 0 or other.dim == 0:
-            return Subspace(self.field, self.ambient_dim)
-        big = np.vstack([a, b]).T  # n x (da+db)
-        ker = kernel_basis(self.field, big)
-        return Subspace(self.field, self.ambient_dim, matmul(self.field, ker[:, : self.dim], a))
-
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, {self.field})"
 
@@ -600,10 +570,6 @@ class Section:
         v = np.asarray(v, dtype=np.int64)
         coords = matmul(self.field, as_matrix(v), self._left_inv[self._sub_dim:].T)
         return coords.reshape(*v.shape[:-1], self.dim)
-
-    def decompose(self, v) -> tuple[np.ndarray, np.ndarray]:
-        y = matvec(self.field, self._left_inv, v)
-        return y[: self._sub_dim], y[self._sub_dim:]
 
     def lift(self, coords) -> np.ndarray:
         return matvec(self.field, self.comp.T, coords)
@@ -655,28 +621,92 @@ def block_eliminate(field: Field, rows, cols, codes):
         yield touched[cols_k], *rref(field, dense)
 
 
+def _entries(field: Field, rows, cols, codes, n_cols=np.inf):
+    """The entries as int64 arrays; ValueError for a negative index, a
+    column past n_cols, a code outside range(q) or two at one position."""
+    rows, cols, codes = (np.asarray(a, dtype=np.int64).reshape(-1) for a in (rows, cols, codes))
+    width = int(cols.max(initial=-1)) + 1
+    for what, values, bad in (("negative row index", rows, rows < 0),
+                              ("negative column index", cols, cols < 0),
+                              (f"column index past {n_cols}", cols, cols >= n_cols),
+                              (f"code outside GF({field.q})", codes, (codes < 0) | (codes >= field.q))):
+        if bad.any():
+            raise ValueError(f"{what}: {values[bad][0]}")
+    keys = np.sort(rows * width + cols)
+    twice = keys[1:][keys[1:] == keys[:-1]]
+    if len(twice):
+        raise ValueError(f"two entries at (row, column) {divmod(int(twice[0]), width)}")
+    return rows, cols, codes
+
+
+def _peel(rows, cols, codes):
+    """Peel lone entries off a sparse system in whole-array rounds until one
+    peels nothing, as structured Gaussian elimination does (LaMacchia and
+    Odlyzko, CRYPTO '90); zero codes are dropped first.
+
+    A row that owns a lone column, one with no other entry, is independent
+    of all other rows: it adds 1 to the rank and leaves, its pivot one of
+    those columns.  Among the other rows, a one-entry row forces its column
+    (of two entries or more, so no lone column), which adds 1 and leaves,
+    with the rows left empty.  Returns the number of pivots, the rest, and
+    per round its pivot rows' entries, their pivots and its cleared columns.
+    """
+    live = np.flatnonzero(codes)
+    n_rows, n_cols = int(rows.max(initial=-1)) + 1, int(cols.max(initial=-1)) + 1
+    peeled, rounds = 0, []
+    while len(live):
+        row, col = rows[live], cols[live]
+        lone = np.flatnonzero(np.bincount(col, minlength=n_cols)[col] == 1)
+        owner = np.full(n_rows, -1)
+        owner[row[lone]] = lone                 # a lone entry of each row with one
+        cleared = np.zeros(n_cols, dtype=bool)
+        cleared[col[((np.bincount(row, minlength=n_rows) == 1) & (owner < 0))[row]]] = True
+        found = int(np.count_nonzero(owner >= 0) + np.count_nonzero(cleared))
+        if not found:
+            break
+        peeled, mine = peeled + found, owner[row]
+        rounds.append((live[mine >= 0], live[mine[mine >= 0]], np.flatnonzero(cleared)))
+        live = live[(mine < 0) & ~cleared[col]]
+    # a system that loses no entry is its own rest, and is not copied
+    rest = (rows, cols, codes) if len(live) == len(codes) else (rows[live], cols[live], codes[live])
+    return peeled, rest, rounds
+
+
 def block_rank(field: Field, rows, cols, codes) -> int:
-    """The rank of the sparse system of ``block_eliminate``: the sum of the
-    ranks of its chunks."""
-    return sum(len(pivots) for _, _, pivots in block_eliminate(field, rows, cols, codes))
+    """The rank of a sparse system of ``block_eliminate``: the pivots that
+    ``_peel`` peels off, plus the ranks of the chunks of the rest."""
+    peeled, rest = _peel(*_entries(field, rows, cols, codes))[:2]
+    return peeled + sum(len(pivots) for _, _, pivots in block_eliminate(field, *rest))
 
 
 def block_kernel(field: Field, rows, cols, codes, n_cols: int) -> np.ndarray:
-    """A kernel basis (as rows) of the sparse system of ``block_eliminate``
-    with n_cols columns: the kernels of its chunks, and a unit vector for
-    each column that no entry touches."""
+    """A kernel basis (as rows) of a sparse system of ``block_eliminate``
+    with n_cols columns: the kernels of the chunks of what ``_peel`` leaves,
+    and a unit vector at each column that is not in the rest, nor a pivot,
+    nor cleared (left 0).  Then the pivots are filled in, last round first,
+    from the row's other terms, which lie in later rounds or the rest."""
+    rows, cols, codes = _entries(field, rows, cols, codes, n_cols)
+    _, rest, rounds = _peel(rows, cols, codes)
     parts = [(where, _kernel_rows(field, reduced, pivots))
-             for where, reduced, pivots in block_eliminate(field, rows, cols, codes)]
-    untouched = np.ones(n_cols, dtype=bool)
-    for where, _ in parts:
-        untouched[where] = False
-    untouched = np.flatnonzero(untouched)
-    parts.append((untouched, np.eye(len(untouched), dtype=np.int64)))
+             for where, reduced, pivots in block_eliminate(field, *rest)]
+    free = np.ones(n_cols, dtype=bool)
+    free[rest[1]] = False
+    for _, pivots, cleared in rounds:
+        free[cols[pivots]] = free[cleared] = False
+    parts.append((np.flatnonzero(free), np.eye(np.count_nonzero(free), dtype=np.int64)))
     kernel = np.zeros((sum(len(vectors) for _, vectors in parts), n_cols), dtype=np.int64)
     start = 0
     for where, vectors in parts:
         kernel[start:start + len(vectors), where] = vectors
         start += len(vectors)
+    for entries, pivots, _ in reversed(rounds):
+        entries, pivots = entries[entries != pivots], pivots[entries != pivots]
+        targets, i = np.unique(cols[pivots], return_inverse=True)
+        sources, j = np.unique(cols[entries], return_inverse=True)
+        # x_c = sum of -a_j / a x_j over the other terms a_j x_j of a pivot a x_c
+        terms = field.mul(codes[entries], field.neg(field.exp[field.q - 1 - field.log[codes[pivots]]]))
+        kernel[:, targets] = matmul(field, kernel[:, sources],
+                                    dense_sums(field, j, i, terms, (len(sources), len(targets))))
     return kernel
 
 

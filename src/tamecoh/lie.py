@@ -326,9 +326,9 @@ class LieAlgebra:
         M_rho, n rows per pair by n^2 columns, is larger than one dense chunk
         of CHUNK_CELLS cells (from n = 11 on).  One probe gains nothing: the shared path
         eliminates as many pivots in all, n^2 - dim K and then dim K -
-        dim Der_rho, and forming the relation rows costs extra.  A larger
-        M_rho splits into the blocks that ``block_eliminate`` finds, which
-        the shared path, dense in all n^2 entries of D, would give up.
+        dim Der_rho, and forming the relation rows costs extra.  On a larger
+        M_rho ``block_rank`` peels off lone entries and splits the rest into
+        blocks, which the shared path, dense in all n^2 entries of D, gives up.
         """
         f, n = self.field, self.dim
         rhos = _probe_codes(f, rhos)

@@ -21,9 +21,9 @@ vertex v it gives S_v (x)_A Q, the slice on the pairs whose left factor is e_v.
 
 Verification is exact and deterministic: the complex property (d.d = 0 on
 every generator), minimality (all images in rad*Q + Q*rad), and exactness by
-ranks through ``field.block_rank``, on the full matrices when the algebra is
-small and on the one-sided complexes of the simple modules at any size, with
-associativity on every basis triple.
+ranks through ``field.block_rank`` (lone entries peeled, then blocks), on the
+full matrices when the algebra is small and on the one-sided complexes of the
+simple modules at any size, with associativity on every basis triple.
 """
 
 from __future__ import annotations
@@ -395,9 +395,9 @@ class ResolutionSpec:
         im d_d = ker d_(d-1) holds exactly when rank d_d = cols(d_(d-1)) -
         rank d_(d-1) and d_(d-1) d_d = 0: the product puts im d_d inside
         ker d_(d-1), and a subspace of equal dimension is all of it.  Every
-        matrix comes from ``full_matrix`` as its nonzero entries, is
-        eliminated once, block by block (``field.block_rank``), and each
-        product is tested on the entries.  The full bimodule matrices, from
+        matrix comes from ``full_matrix`` as its nonzero entries, is ranked
+        once by ``field.block_rank`` (lone entries peeled, then blocks), and
+        each product is tested on the entries.  The full bimodule matrices, from
         the augmentation on, are checked up to FULL_EXACTNESS_LIMIT; the
         one-sided complexes of the simple modules, the slices of the full
         matrices at one vertex, at any size.

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from tamecoh import field as field_module
+from tamecoh import resolution as resolution_module
 from tamecoh.algebra import Algebra, AlgebraError
 from tamecoh.cohomology import (
     cochain_derivation,
@@ -521,32 +522,34 @@ def test_exactness_catches_a_nonzero_product_at_matching_ranks(path, monkeypatch
     ("SD2B1", GF3, dict(k=3, s=4, c=0)),   # dim 31: one-sided path only
 ])
 def test_exactness_eliminates_each_matrix_once(family, field, params, monkeypatch):
-    """Every system the check builds passes through block_eliminate exactly
-    once, and rref sees only its chunks: no kernel or image subspace is
-    formed."""
+    """Every system the check builds is ranked by block_rank exactly once,
+    and rref sees only the chunks of block_eliminate: no kernel or image
+    subspace is formed."""
     res = make(family, field, **params).resolution
     res = ResolutionSpec(res.algebra, res.summands, res.diffs, periodic=res.periodic)
-    built, reduced, chunks, rref_calls = [], [], [], []
+    built, ranked, chunks, rref_calls = [], [], [], []
     for name in ("full_matrix_aug", "full_matrix"):
         def record(*args, build=getattr(res, name), **kwargs):
             built.append(build(*args, **kwargs))
             return built[-1]
         monkeypatch.setattr(res, name, record)
-    block_eliminate, rref = field_module.block_eliminate, field_module.rref
+    block_rank, block_eliminate = resolution_module.block_rank, field_module.block_eliminate
+    rref = field_module.rref
 
     def eliminate(f, rows, cols, codes):
-        reduced.append(rows)
         for chunk in block_eliminate(f, rows, cols, codes):
             chunks.append(chunk)
             yield chunk
 
+    monkeypatch.setattr(resolution_module, "block_rank",
+                        lambda f, rows, cols, codes: ranked.append(rows) or block_rank(f, rows, cols, codes))
     monkeypatch.setattr(field_module, "block_eliminate", eliminate)
     monkeypatch.setattr(field_module, "rref", lambda f, mat: rref_calls.append(mat) or rref(f, mat))
     assert res.check_exactness(random.Random(0), probes=5)["passed"]
     top = res.depth + res.periodic
     full = 1 + top if res.algebra.dim <= FULL_EXACTNESS_LIMIT else 0
     assert len(built) == full + res.algebra.quiver.n_vertices * top
-    assert sorted(map(id, reduced)) == sorted(id(rows) for rows, _, _, _ in built)
+    assert sorted(map(id, ranked)) == sorted(id(rows) for rows, _, _, _ in built)
     assert len(rref_calls) == len(chunks) >= len(built)
 
 

@@ -13,6 +13,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from tamecoh.field import (
     CHUNK_CELLS,
     Field,
+    _entries,
+    _peel,
     _tables,
     Section,
     Subspace,
@@ -33,7 +35,6 @@ from tamecoh.field import (
     rank,
     rref,
     semilinear_kernel,
-    solve,
 )
 
 ALL_PARAMS = [(p, m) for p in (2, 3, 5, 7) for m in (1, 2, 3, 4)]
@@ -506,6 +507,19 @@ def test_kernel_exhaustive_small():
         assert ker.contains(np.array(v))
 
 
+def ref_solve(field, a, b):
+    """One solution of a @ x = b read off the RREF of [a | b], or None if
+    inconsistent."""
+    a_m = as_matrix(a)
+    r_mat, pivots = rref(field, np.hstack([a_m, np.reshape(b, (-1, 1))]))
+    n_cols = a_m.shape[1]
+    if n_cols in pivots:
+        return None
+    x = np.zeros(n_cols, dtype=np.int64)
+    x[pivots] = r_mat[:, n_cols]
+    return x
+
+
 def test_solve_consistent_and_inconsistent():
     rng = random.Random(13)
     for p, m in [(2, 1), (3, 1), (2, 2)]:
@@ -514,12 +528,12 @@ def test_solve_consistent_and_inconsistent():
             a = f.rand(rng, (4, 5))
             x0 = f.rand(rng, (5,))
             b = matvec(f, a, x0)
-            x = solve(f, a, b)
+            x = ref_solve(f, a, b)
             assert x is not None
             assert np.array_equal(matvec(f, a, x), b)
     f = Field(2)
     a = np.array([[1, 0], [1, 0]], dtype=np.int64)
-    assert solve(f, a, np.array([1, 0])) is None
+    assert ref_solve(f, a, np.array([1, 0])) is None
 
 
 def test_image_basis_is_column_space():
@@ -718,6 +732,100 @@ def test_block_elimination_matches_the_dense_path(p, m):
         assert not matmul(f, dense, kernel.T).any()
 
 
+def solves_sparse(f, mat, rng=None):
+    """Check block_rank and block_kernel on mat's entries, shuffled by rng,
+    against the dense rank and kernel; return what ``_peel`` makes of them."""
+    rows, cols, codes, shape = sparse_of(mat)
+    if rng is not None:
+        order = list(range(len(rows)))
+        rng.shuffle(order)
+        rows, cols, codes = rows[order], cols[order], codes[order]
+    got = block_rank(f, rows, cols, codes)
+    assert got == rank(f, mat)
+    kernel = block_kernel(f, rows, cols, codes, shape[1])
+    assert kernel.shape == (shape[1] - got, shape[1])
+    assert Subspace(f, shape[1], kernel) == kernel_space(f, mat)
+    assert not matmul(f, mat, kernel.T).any()
+    return _peel(*_entries(f, rows, cols, codes))
+
+
+def units(f, rng, shape):
+    """Random nonzero codes."""
+    return 1 + f.rand(rng, shape) % (f.q - 1)
+
+
+@pytest.mark.parametrize("p,m", ALL_PARAMS)
+def test_peeling_rules(p, m):
+    f = Field(p, m)
+    rng = random.Random(29 * p + m)
+    a = units(f, rng, (4, 4))
+    # row 0 owns the lone columns 0 and 1: one pivot, the other column free;
+    # rows 1 and 2 share columns 2 and 3 and peel nothing
+    mat = np.array([[a[0, 0], a[0, 1], a[0, 2], 0],
+                    [0, 0, a[1, 2], a[1, 3]],
+                    [0, 0, a[2, 2], a[2, 3]]])
+    peeled, rest, rounds = solves_sparse(f, mat)
+    assert (peeled, len(rest[2]), len(rounds)) == (1, 4, 1)
+    # rows 0-2 hold column 0 alone: it adds 1 once and leaves; then rows 3
+    # and 4 hold column 1 alone; column 2 is touched by nothing
+    mat = np.array([[a[0, 0], 0, 0], [a[1, 0], 0, 0], [a[2, 0], 0, 0],
+                    [a[3, 0], a[3, 1], 0], [a[0, 3], a[1, 3], 0]])
+    peeled, rest, rounds = solves_sparse(f, mat)
+    assert (peeled, len(rest[2]), len(rounds)) == (2, 0, 2)
+    assert block_kernel(f, *sparse_of(mat)[:3], 3).tolist() == [[0, 0, 1]]
+    # a chain: row i joins columns i and i + 1, and row 8 holds column 0
+    # alone; it peels one link from each end per round, and its kernel
+    # fills the pivots back over all rounds
+    chain = np.zeros((9, 9), dtype=np.int64)
+    chain[np.arange(8), np.arange(8)] = units(f, rng, 8)
+    chain[np.arange(8), np.arange(1, 9)] = units(f, rng, 8)
+    chain[8, 0] = 1
+    for mat in (chain, chain[:8], chain[:8, 1:], np.hstack([chain[:8], np.zeros((8, 2), dtype=np.int64)])):
+        peeled, rest, rounds = solves_sparse(f, mat, rng)
+        assert peeled == rank(f, mat) and not len(rest[2]) and len(rounds) >= 4
+    # every row and column with two entries or more: nothing peels, and the
+    # rest is the entries themselves
+    mat = np.vstack([units(f, rng, (3, 5)), np.zeros((1, 5), dtype=np.int64)])
+    entries = _entries(f, *sparse_of(mat)[:3])
+    peeled, rest, rounds = _peel(*entries)
+    assert (peeled, rounds) == (0, [])
+    assert all(x is y for x, y in zip(rest, entries))
+    solves_sparse(f, np.hstack([np.zeros((4, 2), dtype=np.int64), mat]))
+
+
+@pytest.mark.parametrize("p,m", ALL_PARAMS)
+def test_block_rank_and_kernel_on_random_sparse_systems(p, m):
+    f = Field(p, m)
+    rng = random.Random(31 * p + m)
+    for _ in range(125):
+        shape = rng.randrange(31), rng.randrange(31)
+        solves_sparse(f, sparse(f, rng, shape, rng.choice([0.02, 0.05, 0.1, 0.2, 0.3])), rng)
+
+
+@pytest.mark.parametrize("entries,n_cols,message", [
+    (([-1], [0], [1]), 2, "negative row index: -1"),
+    (([0], [-2], [1]), 2, "negative column index: -2"),
+    (([0], [0], [3]), 2, "code outside GF(3): 3"),
+    (([0], [0], [-1]), 2, "code outside GF(3): -1"),
+    (([0, 2, 0], [1, 1, 1], [1, 2, 2]), 2, "two entries at (row, column) (0, 1)"),
+    (([1, 0, 1], [0, 1, 0], [0, 1, 0]), 2, "two entries at (row, column) (1, 0)"),
+])
+def test_sparse_entries_are_checked(entries, n_cols, message):
+    f = Field(3)
+    for call in (lambda: block_rank(f, *entries), lambda: block_kernel(f, *entries, n_cols)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+    with pytest.raises(ValueError, match="column index past 2: 2"):
+        block_kernel(f, [0], [2], [1], 2)
+
+
+def test_zero_codes_are_no_entries():
+    f = Field(3)
+    assert block_rank(f, [0], [0], [0]) == 0
+    assert block_kernel(f, [0], [0], [0], 2).tolist() == [[1, 0], [0, 1]]
+    assert block_rank(f, [0, 0, 1], [0, 1, 1], [0, 2, 1]) == 1
+
+
 def ref_reduce(sub, v):
     """The per-pivot loop that ``Subspace.reduce`` ran before."""
     f = sub.field
@@ -759,6 +867,12 @@ def test_reduce_and_section_match_the_loops():
             assert np.array_equal(sec.comp, want)
 
 
+def ref_decompose(sec, v):
+    """The (sub, complement) coordinates of v, from the whole left inverse."""
+    y = matvec(sec.field, sec._left_inv, v)
+    return y[:sec._sub_dim], y[sec._sub_dim:]
+
+
 def test_section_splits_ambient():
     rng = random.Random(19)
     for p, m in [(2, 1), (3, 1), (2, 2)]:
@@ -771,7 +885,7 @@ def test_section_splits_ambient():
         for _ in range(10):
             coeffs = f.rand(rng, (amb.dim,))
             v = matvec(f, amb.rows.T, coeffs)
-            s_part, c_part = sec.decompose(v)
+            s_part, c_part = ref_decompose(sec, v)
             recomposed = f.add(matvec(f, sub.rows.T, s_part) if sub.dim else 0,
                                matvec(f, sec.comp.T, c_part) if sec.dim else 0)
             assert np.array_equal(np.asarray(recomposed), v)
@@ -794,17 +908,25 @@ def test_section_class_coords_of_a_stack():
             sec = Section(f, Subspace(f, 8, amb.rows[:sub_dim]), amb)
             rows = [sec.class_coords(v) for v in vs]
             assert np.array_equal(sec.class_coords(vs), np.reshape(rows, (7, sec.dim)))
-            # decompose reads the whole left inverse: a second route to the coordinates
+            # the whole left inverse gives a second route to the coordinates
             assert np.array_equal(sec.class_coords(vs), np.reshape(
-                [sec.decompose(v)[1] for v in vs], (7, sec.dim)))
+                [ref_decompose(sec, v)[1] for v in vs], (7, sec.dim)))
             assert sec.class_coords(vs[:0]).shape == (0, sec.dim)
+
+
+def ref_intersect(a, b):
+    """a and b meet in the x A with (x, y) in the kernel of [A; B]^T."""
+    if a.dim == 0 or b.dim == 0:
+        return Subspace(a.field, a.ambient_dim)
+    ker = kernel_basis(a.field, np.vstack([a.rows, b.rows]).T)
+    return Subspace(a.field, a.ambient_dim, matmul(a.field, ker[:, :a.dim], a.rows))
 
 
 def test_subspace_intersect():
     f = Field(2)
     a = Subspace(f, 4, np.array([[1, 0, 0, 0], [0, 1, 0, 0]]))
     b = Subspace(f, 4, np.array([[0, 1, 0, 0], [0, 0, 1, 0]]))
-    cap = a.intersect(b)
+    cap = ref_intersect(a, b)
     assert cap.dim == 1
     assert cap.contains(np.array([0, 1, 0, 0]))
 
@@ -869,7 +991,7 @@ def test_mult_and_frob_matrices_realize_maps():
     for _ in range(30):
         a = rng.randrange(f.q)
         v = rng.randrange(f.q)
-        got = matvec(prime, f.mult_matrix(a), np.array(f.digits(v)))
-        assert f.from_digits(got) == f.mul(a, v)
+        got = matvec(prime, f._mats[a], np.array(f.digits(v)))
+        assert ref_code(f, got) == f.mul(a, v)
         got_f = matvec(prime, f.frob_matrix(1), np.array(f.digits(v)))
-        assert f.from_digits(got_f) == f.frobenius(v)
+        assert ref_code(f, got_f) == f.frobenius(v)
